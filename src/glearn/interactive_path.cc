@@ -77,12 +77,13 @@ PathEngine::PathEngine(const graph::Graph* g, const Path& seed,
       strategy_(options.strategy),
       hypothesis_(ConcatPattern::FromWord(graph::PathWord(*g, seed))),
       max_positive_weight_(graph::PathWeight(*g, seed)) {
+  auto candidates = std::make_shared<std::vector<Candidate>>();
   for (Path& p : graph::EnumeratePaths(*g, options.max_path_edges,
                                        options.max_candidates)) {
     Candidate c;
     c.word = graph::PathWord(*g, p);
     c.path = std::move(p);
-    candidates_.push_back(std::move(c));
+    candidates->push_back(std::move(c));
   }
 
   // Pre-mark workload matches.
@@ -92,7 +93,7 @@ PathEngine::PathEngine(const graph::Graph* g, const Path& seed,
     for (const auto& regex : options.workload) {
       nfas.push_back(automata::Nfa::FromRegex(*regex));
     }
-    for (Candidate& c : candidates_) {
+    for (Candidate& c : *candidates) {
       for (const automata::Nfa& nfa : nfas) {
         if (nfa.Accepts(c.word)) {
           c.workload_hit = true;
@@ -102,12 +103,13 @@ PathEngine::PathEngine(const graph::Graph* g, const Path& seed,
     }
   }
 
-  // Questions point into candidates_; element pointers stay valid for the
-  // engine's lifetime, including after it is moved into a LearningSession
-  // (vector moves keep the heap buffer).
-  frontier_.Reserve(candidates_.size());
-  for (size_t k = 0; k < candidates_.size(); ++k) {
-    frontier_.Add(Question{k, &candidates_[k].path, &candidates_[k].word});
+  // Questions point into the pool, which is immutable from here on and
+  // shared by every copy of the engine, so the pointers never dangle.
+  candidates_ = std::move(candidates);
+  frontier_.Reserve(candidates_->size());
+  for (size_t k = 0; k < candidates_->size(); ++k) {
+    const Candidate& c = (*candidates_)[k];
+    frontier_.Add(Question{k, &c.path, &c.word});
   }
 }
 
@@ -135,7 +137,7 @@ std::optional<PathEngine::Question> PathEngine::SelectQuestion(
           session::Greedy<PathScore>(
               PathScore{0, kCostSentinel},
               [this](size_t k) -> std::optional<PathScore> {
-                return PathScore{candidates_[k].workload_hit ? 1 : 0,
+                return PathScore{(*candidates_)[k].workload_hit ? 1 : 0,
                                  -CostOf(k)};
               }),
           rng);
@@ -148,7 +150,7 @@ std::optional<PathEngine::Question> PathEngine::SelectQuestion(
 const std::optional<PathEngine::GenMemo>& PathEngine::GenMemoOf(size_t k) {
   return frontier_.MemoOf(k, [this](size_t j) -> GenMemo {
     GenMemo memo;
-    memo.extended = hypothesis_.Generalize(candidates_[j].word, &memo.cost);
+    memo.extended = hypothesis_.Generalize((*candidates_)[j].word, &memo.cost);
     return memo;
   });
 }
@@ -163,7 +165,7 @@ void PathEngine::MarkAsked(const Question& item) {
 
 void PathEngine::Observe(const Question& item, bool positive,
                          session::SessionStats* stats) {
-  const Candidate& c = candidates_[item.index];
+  const Candidate& c = (*candidates_)[item.index];
   frontier_.MarkLabeled(item.index, positive);
   hypothesis_advanced_ = false;
   if (positive) {
@@ -229,7 +231,7 @@ void PathEngine::Propagate(session::SessionStats* stats) {
 void PathEngine::ReferencePropagate(session::SessionStats* stats) {
   for (size_t k = 0; k < frontier_.size(); ++k) {
     if (!frontier_.IsOpen(k)) continue;
-    const Candidate& c = candidates_[k];
+    const Candidate& c = (*candidates_)[k];
     if (hypothesis_.Accepts(c.word)) {
       // Every consistent generalization still accepts it.
       frontier_.MarkForced(k, /*positive=*/true);
@@ -255,7 +257,7 @@ void PathEngine::FullPropagate(session::SessionStats* stats) {
   // and greedy selection never re-run Generalize until the next change.
   for (size_t k = 0; k < frontier_.size(); ++k) {
     if (!frontier_.IsOpen(k)) continue;
-    if (hypothesis_.Accepts(candidates_[k].word)) {
+    if (hypothesis_.Accepts((*candidates_)[k].word)) {
       frontier_.MarkForced(k, /*positive=*/true);
       ++stats->forced_positive;
       continue;
@@ -281,7 +283,7 @@ void PathEngine::ApplyNegativeDeltas(session::SessionStats* stats) {
     if (!frontier_.IsOpen(k)) continue;
     const std::optional<GenMemo>& memo = GenMemoOf(k);
     for (size_t neg : deltas) {
-      if (memo->extended.Accepts(candidates_[neg].word)) {
+      if (memo->extended.Accepts((*candidates_)[neg].word)) {
         frontier_.MarkForced(k, /*positive=*/false);
         ++stats->forced_negative;
         break;  // memo slot was just released by MarkForced
@@ -295,7 +297,7 @@ void PathEngine::AssertPropagationFixpoint() {
   // The historical full-rescan predicates must find nothing left to force.
   for (size_t k = 0; k < frontier_.size(); ++k) {
     if (!frontier_.IsOpen(k)) continue;
-    const Candidate& c = candidates_[k];
+    const Candidate& c = (*candidates_)[k];
     assert(!hypothesis_.Accepts(c.word) &&
            "delta flush missed a forced positive");
     const ConcatPattern extended = hypothesis_.Generalize(c.word);
@@ -349,7 +351,7 @@ common::Status PathEngine::RestoreSnapshot(session::SnapshotReader* reader) {
   if (!s.ok()) return s;
   std::vector<std::vector<common::SymbolId>> negatives;
   negatives.reserve(static_cast<size_t>(
-      std::min<uint64_t>(num_negatives, candidates_.size())));
+      std::min<uint64_t>(num_negatives, candidates_->size())));
   for (uint64_t i = 0; i < num_negatives; ++i) {
     uint64_t length = 0;
     s = reader->ReadU64(&length);

@@ -10,6 +10,7 @@
 #define QLEARN_GLEARN_INTERACTIVE_PATH_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -86,9 +87,9 @@ struct InteractivePathResult {
 };
 
 /// Session engine for path-query learning. Questions reference candidate
-/// paths owned by the engine (the pointers stay valid for the engine's
-/// lifetime, including after it is moved into a LearningSession). The
-/// caller must seed the engine with one known-positive path.
+/// paths in an immutable pool the engine and its copies share (the
+/// pointers stay valid as long as any of them lives). The caller must seed
+/// the engine with one known-positive path.
 class PathEngine {
  public:
   /// One question: a candidate path and its label word.
@@ -113,14 +114,6 @@ class PathEngine {
   /// positive (the engine does not re-ask it).
   PathEngine(const graph::Graph* g, const graph::Path& seed,
              const InteractivePathOptions& options = {});
-
-  /// Movable but not copyable: frontier Questions point into the engine's
-  /// own candidate storage (moves transfer the buffer, copies would alias
-  /// the source's and dangle once it dies).
-  PathEngine(const PathEngine&) = delete;
-  PathEngine& operator=(const PathEngine&) = delete;
-  PathEngine(PathEngine&&) = default;
-  PathEngine& operator=(PathEngine&&) = default;
 
   std::optional<Item> SelectQuestion(common::Rng* rng);
   void MarkAsked(const Item& item);
@@ -216,7 +209,8 @@ class PathEngine {
 
   const graph::Graph* g_;
   PathStrategy strategy_;
-  std::vector<Candidate> candidates_;  // model data; states live in frontier_
+  /// Model data, shared by copies; states live in frontier_.
+  std::shared_ptr<const std::vector<Candidate>> candidates_;
   FrontierT frontier_;
   ConcatPattern hypothesis_;
   double max_positive_weight_ = 0;

@@ -69,6 +69,9 @@ ChainEngine::ChainEngine(const JoinChain* chain,
       }
     }
   }
+  // The planes are a pure function of the chain: copies of the engine
+  // share them, and a restore gathers them instead of reading the image.
+  store_.SealPlanes();
 }
 
 std::optional<size_t> ChainEngine::IndexOf(const ChainExample& item) const {

@@ -147,7 +147,9 @@ class ChainEngine {
   const session::CandidateStore& StoreForTest() const { return store_; }
 
   /// Hibernation: appends a versioned engine image (strategy, version
-  /// space, frontier states, candidate-store planes) to `writer`. Call only
+  /// space, frontier states, candidate-store dense map and bit-vectors) to
+  /// `writer`; a restore gathers the agreement planes from the sealed
+  /// build-time planes the engine copies share. Call only
   /// between answered turns (queued deltas flushed).
   void SerializeSnapshot(session::SnapshotWriter* writer) const;
   /// Restores an image produced by SerializeSnapshot into an engine built

@@ -46,6 +46,9 @@ JoinEngine::JoinEngine(const PairUniverse* universe,
       }
     }
   }
+  // The planes are a pure function of the relations: copies of the engine
+  // share them, and a restore gathers them instead of reading the image.
+  store_.SealPlanes();
 }
 
 size_t JoinEngine::IndexOf(const PairExample& item) const {

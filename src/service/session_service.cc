@@ -24,7 +24,7 @@ using common::Status;
 //   u64 bit_cast(wall seconds consumed at park),
 //   session image (u64 length + bytes), u64 checksum.
 constexpr uint32_t kHibernationMagic = 0x56534C51u;  // "QLSV"
-constexpr uint32_t kHibernationVersion = 1;
+constexpr uint32_t kHibernationVersion = 2;
 constexpr size_t kChecksumBytes = 8;
 
 std::string HexU64(uint64_t v) {
@@ -190,26 +190,34 @@ std::shared_ptr<SessionService::Entry> SessionService::Find(
   return it == sessions_.end() ? nullptr : it->second;
 }
 
-common::Status SessionService::ParkLocked(const std::string& id,
-                                          Entry* entry) {
+common::Status SessionService::ImageLocked(
+    const Entry& entry, std::chrono::steady_clock::time_point now,
+    std::string* image) const {
   std::string session_image;
-  QLEARN_RETURN_IF_ERROR(entry->session->SerializeSnapshot(&session_image));
-  const auto now = clock_();
+  QLEARN_RETURN_IF_ERROR(entry.session->SerializeSnapshot(&session_image));
   session::SnapshotWriter writer;
   writer.WriteU32(kHibernationMagic);
   writer.WriteU32(kHibernationVersion);
-  writer.WriteBytes(entry->scenario);
-  writer.WriteU64(entry->budget.max_questions);
-  writer.WriteU64(static_cast<uint64_t>(entry->budget.max_pending));
-  writer.WriteU64(std::bit_cast<uint64_t>(entry->budget.max_wall_seconds));
+  writer.WriteBytes(entry.scenario);
+  writer.WriteU64(entry.budget.max_questions);
+  writer.WriteU64(static_cast<uint64_t>(entry.budget.max_pending));
+  writer.WriteU64(std::bit_cast<uint64_t>(entry.budget.max_wall_seconds));
   writer.WriteU64(std::bit_cast<uint64_t>(
-      std::chrono::duration<double>(now - entry->opened_at).count()));
+      std::chrono::duration<double>(now - entry.opened_at).count()));
   writer.WriteBytes(session_image);
-  std::string image = writer.TakeBytes();
-  const uint64_t checksum = Fnv1a64(image);
+  *image = writer.TakeBytes();
+  const uint64_t checksum = Fnv1a64(*image);
   for (size_t i = 0; i < kChecksumBytes; ++i) {
-    image.push_back(static_cast<char>((checksum >> (8 * i)) & 0xff));
+    image->push_back(static_cast<char>((checksum >> (8 * i)) & 0xff));
   }
+  return Status::OK();
+}
+
+common::Status SessionService::ParkLocked(const std::string& id,
+                                          Entry* entry) {
+  const auto now = clock_();
+  std::string image;
+  QLEARN_RETURN_IF_ERROR(ImageLocked(*entry, now, &image));
   QLEARN_RETURN_IF_ERROR(snapshot_store_->Put(id, image));
   entry->session.reset();
   entry->parked_at = now;
@@ -294,6 +302,8 @@ common::Status SessionService::RehydrateLocked(const std::string& id,
           " trailing byte(s) before its checksum");
     }
 
+    // The same construction path as Open: a session at the scenario
+    // universe's baseline state, which the image then overwrites.
     auto created_or = registry_->Create(scenario, session::SessionOptions{});
     if (!created_or.ok()) return created_or.status();
     std::unique_ptr<session::ScenarioSession> restored =
@@ -359,33 +369,39 @@ common::Result<ExportedSession> SessionService::ExportSession(
     return Fail(common::Status::NotFound("unknown session: " + id));
   }
   ExportedSession out;
+  bool was_parked = false;
   {
     std::lock_guard<std::mutex> lock(entry->mutex);
     if (entry->closed) {
       return Fail(common::Status::NotFound("session already closed: " + id));
     }
-    if (!entry->parked.load(std::memory_order_relaxed)) {
+    was_parked = entry->parked.load(std::memory_order_relaxed);
+    if (was_parked) {
+      auto image_or = snapshot_store_->Get(id);
+      if (!image_or.ok()) {
+        // The entry stays parked: the handle still exists here, and the
+        // next call on it will surface the same missing-image DataLoss.
+        return Fail(common::Status::DataLoss(
+            "snapshot image for exported session " + id +
+            " is missing: " + image_or.status().message()));
+      }
+      out.image = std::move(image_or).value();
+    } else {
+      // A resident session's image goes straight to the caller, without
+      // a round trip through the snapshot store.
       if (entry->pending > 0) {
         return Fail(common::Status::FailedPrecondition(
             "session " + id + " has " + std::to_string(entry->pending) +
             " unanswered question(s); only quiescent sessions export"));
       }
-      common::Status parked = ParkLocked(id, entry.get());
-      if (!parked.ok()) {
+      common::Status imaged = ImageLocked(*entry, clock_(), &out.image);
+      if (!imaged.ok()) {
         hibernate_errors_.fetch_add(1, std::memory_order_relaxed);
-        return Fail(std::move(parked));
+        return Fail(std::move(imaged));
       }
-    }
-    auto image_or = snapshot_store_->Get(id);
-    if (!image_or.ok()) {
-      // The entry stays parked: the handle still exists here, and the next
-      // call on it will surface the same missing-image DataLoss.
-      return Fail(common::Status::DataLoss(
-          "snapshot image for exported session " + id +
-          " is missing: " + image_or.status().message()));
+      entry->session.reset();
     }
     out.scenario = entry->scenario;
-    out.image = std::move(image_or).value();
     entry->closed = true;
     entry->parked.store(false, std::memory_order_relaxed);
   }
@@ -393,7 +409,7 @@ common::Result<ExportedSession> SessionService::ExportSession(
     std::lock_guard<std::mutex> lock(mutex_);
     sessions_.erase(id);
   }
-  snapshot_store_->Delete(id);
+  if (was_parked) snapshot_store_->Delete(id);
   exports_.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
@@ -424,30 +440,34 @@ common::Status SessionService::ImportSession(std::string_view id_view,
         "[0, " + std::to_string(body_size) + "): stored " + HexU64(stored) +
         ", computed " + HexU64(computed)));
   }
-  session::SnapshotReader reader(image.substr(0, body_size));
-  uint32_t magic = 0;
-  QLEARN_RETURN_IF_ERROR(reader.ReadU32(&magic));
-  if (magic != kHibernationMagic) {
-    return Fail(common::Status::InvalidArgument(
-        "import for session " + id + ": not a hibernation image (magic " +
-        HexU64(magic) + " at byte 0)"));
-  }
-  uint32_t version = 0;
-  QLEARN_RETURN_IF_ERROR(reader.ReadU32(&version));
-  if (version != kHibernationVersion) {
-    return Fail(common::Status::InvalidArgument(
-        "import for session " + id + ": unsupported hibernation image "
-        "version " + std::to_string(version) + " (this build reads version " +
-        std::to_string(kHibernationVersion) + ")"));
-  }
-  std::string image_scenario;
-  QLEARN_RETURN_IF_ERROR(reader.ReadBytes(&image_scenario));
-  if (image_scenario != scenario) {
-    return Fail(common::Status::InvalidArgument(
-        "import image for session " + id + " was taken for scenario \"" +
-        image_scenario + "\", but the import names scenario \"" + scenario +
-        "\""));
-  }
+  const common::Status header = [&]() -> common::Status {
+    session::SnapshotReader reader(image.substr(0, body_size));
+    uint32_t magic = 0;
+    QLEARN_RETURN_IF_ERROR(reader.ReadU32(&magic));
+    if (magic != kHibernationMagic) {
+      return common::Status::InvalidArgument(
+          "import for session " + id + ": not a hibernation image (magic " +
+          HexU64(magic) + " at byte 0)");
+    }
+    uint32_t version = 0;
+    QLEARN_RETURN_IF_ERROR(reader.ReadU32(&version));
+    if (version != kHibernationVersion) {
+      return common::Status::InvalidArgument(
+          "import for session " + id + ": unsupported hibernation image "
+          "version " + std::to_string(version) + " (this build reads version " +
+          std::to_string(kHibernationVersion) + ")");
+    }
+    std::string image_scenario;
+    QLEARN_RETURN_IF_ERROR(reader.ReadBytes(&image_scenario));
+    if (image_scenario != scenario) {
+      return common::Status::InvalidArgument(
+          "import image for session " + id + " was taken for scenario \"" +
+          image_scenario + "\", but the import names scenario \"" +
+          scenario + "\"");
+    }
+    return common::Status::OK();
+  }();
+  if (!header.ok()) return Fail(header);
 
   auto entry = std::make_shared<Entry>();
   entry->scenario = scenario;

@@ -257,10 +257,11 @@ class SessionService {
   /// the next call.
   common::Status Park(std::string_view id);
 
-  /// Ships one session out of this service for snapshot handoff: parks it
-  /// (if resident) through the PR 8 path, returns the checksummed QLSV
-  /// image, and releases the handle — after a successful export the
-  /// session no longer exists here. Requires quiescence like Park; a
+  /// Ships one session out of this service for snapshot handoff: returns
+  /// the checksummed QLSV image (built directly for a resident session,
+  /// read from the snapshot store for a parked one) and releases the
+  /// handle — after a successful export the session no longer exists
+  /// here. Requires quiescence like Park; a
   /// pending batch fails with FailedPrecondition and leaves the session
   /// untouched (the rebalancer routes it via an override until it drains).
   common::Result<ExportedSession> ExportSession(std::string_view id);
@@ -331,6 +332,12 @@ class SessionService {
 
   double ElapsedSeconds(std::chrono::steady_clock::time_point since) const;
 
+  /// Builds the checksummed hibernation image of one quiescent, resident
+  /// session, with wall time consumed up to `now`. Caller holds
+  /// entry.mutex.
+  common::Status ImageLocked(const Entry& entry,
+                             std::chrono::steady_clock::time_point now,
+                             std::string* image) const;
   /// Serializes + evicts one quiescent session. Caller holds entry->mutex.
   common::Status ParkLocked(const std::string& id, Entry* entry);
   /// Restores a parked session from its image. Caller holds entry->mutex.

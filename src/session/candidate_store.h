@@ -25,11 +25,17 @@
 // transpose).
 //
 // SerializeSnapshot/RestoreSnapshot produce a versioned binary image of the
-// planes, bit-vectors, and dense mapping (header: magic "QLCS", version,
-// word width, plane count, capacity) — the hibernation groundwork. Restore
-// validates the header against the configured geometry and rejects
-// mismatches with common::Status (never an assert), so a format bump or a
-// foreign image degrades gracefully.
+// per-session state only: the dense mapping (as a bitmap over the
+// candidate ids) and the open/active bit-vectors (header: magic "QLCS",
+// version, word width, plane count, capacity). Planes are not shipped: the
+// join/chain agreement planes are a pure function of the scenario, so
+// SealPlanes() freezes the build-time planes as an immutable source that
+// every copy of the store shares and a restore gathers from through the
+// dense map; the twig witness planes are derived from the rows and
+// rebuilt on demand. Restore validates the header against the configured
+// geometry and the bit-vectors against the dense extent, and rejects
+// mismatches with common::Status (never an assert), so a format bump, a
+// foreign image, or a forged one degrades gracefully.
 #ifndef QLEARN_SESSION_CANDIDATE_STORE_H_
 #define QLEARN_SESSION_CANDIDATE_STORE_H_
 
@@ -37,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -104,6 +111,10 @@ class CandidateStore {
   /// to their identity dense slot.
   void SetPlaneBit(size_t p, size_t id);
   bool PlaneBitForTest(size_t p, size_t id) const;
+  /// Freezes the planes as built (identity dense map) into the immutable
+  /// source RestoreSnapshot gathers from. Call once, after the last
+  /// SetPlaneBit; copies of the store share the source.
+  void SealPlanes();
 
   // --- frontier mirror ---------------------------------------------------
 
@@ -183,14 +194,20 @@ class CandidateStore {
 
   /// Appends the versioned binary image: "QLCS" header (version, word
   /// width, plane count, capacity, dense extent, row geometry) followed by
-  /// the dense map, the open/active bit-vectors, and the plane words. Rows
-  /// are per-epoch caches and are not serialized; a restored store starts
-  /// with all rows stale.
+  /// the dense map as a capacity-bit bitmap of the ids still on the dense
+  /// axis (ascending and duplicate-free by construction) and the
+  /// open/active bit-vectors. Planes and rows are not serialized: planes
+  /// come back from the sealed source, rows are per-epoch caches, so a
+  /// restored store starts with all rows stale.
   void SerializeSnapshot(SnapshotWriter* writer) const;
   /// Restores from an image produced by SerializeSnapshot into a store
-  /// already configured (Reset/ConfigureRows) with the same geometry.
-  /// Rejects foreign or mismatched images — wrong magic, version, word
-  /// width, plane count, capacity, or row geometry — with InvalidArgument.
+  /// already configured (Reset/ConfigureRows, SealPlanes) with the same
+  /// geometry, gathering the planes from the sealed source (zero without
+  /// one). Rejects foreign, mismatched or inconsistent images — wrong
+  /// magic, version, word width, plane count, capacity or row geometry; a
+  /// bitmap whose population is not the dense extent; open or active bits
+  /// at or past the dense extent; open bits outside the active set — with
+  /// InvalidArgument.
   common::Status RestoreSnapshot(SnapshotReader* reader);
 
  private:
@@ -218,6 +235,10 @@ class CandidateStore {
   std::vector<uint64_t> active_;
   std::vector<size_t> id_of_;     ///< dense slot → candidate id (ascending)
   std::vector<size_t> dense_of_;  ///< candidate id → dense slot or kNoDense
+  /// The sealed build-time planes (identity dense map, same arena layout
+  /// as planes_), shared by every copy of the store; null until
+  /// SealPlanes.
+  std::shared_ptr<const std::vector<uint64_t>> source_planes_;
 
   // Row facility (twig). rows_ is a second arena: row id at offset
   // id * row_words. Freshness is epoch-tagged like the frontier's memos

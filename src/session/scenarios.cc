@@ -3,6 +3,7 @@
 // session can be driven by a human (Answer) or self-answered
 // (OracleLabels). These mirror the setups of the E1/E6/E7/E12 experiments
 // at demo scale.
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,11 +30,18 @@ namespace {
 using common::Result;
 using common::Status;
 
-/// ScenarioSession over a typed engine: the shared glue between the three
-/// built-in scenarios. `context` keeps the scenario's dataset (documents,
-/// relations, graph, interner, goal) alive for the session's lifetime.
 template <typename Engine>
-class TypedScenarioSession : public ScenarioSession {
+class TypedScenarioSession;
+
+/// ScenarioUniverse over a typed engine: the shared glue between the
+/// built-in scenarios. `context` holds the dataset (documents, relations,
+/// graph, interner, goal) the engine and the callbacks point into;
+/// `baseline` is a session over it that has run the baseline propagation
+/// and asked nothing, which every new session copies.
+template <typename Engine>
+class TypedUniverse final
+    : public ScenarioUniverse,
+      public std::enable_shared_from_this<TypedUniverse<Engine>> {
  public:
   using Item = typename Engine::Item;
   using OracleFn = std::function<bool(const Item&)>;
@@ -41,25 +49,57 @@ class TypedScenarioSession : public ScenarioSession {
   using HypothesisFn =
       std::function<std::string(const typename Engine::HypothesisT&)>;
 
-  TypedScenarioSession(std::shared_ptr<void> context,
-                       LearningSession<Engine> session, OracleFn oracle,
-                       RenderFn render, HypothesisFn render_hypothesis)
+  TypedUniverse(std::shared_ptr<const void> context, Engine engine,
+                OracleFn oracle, RenderFn render,
+                HypothesisFn render_hypothesis)
       : context_(std::move(context)),
-        session_(std::move(session)),
+        baseline_(std::move(engine)),
         oracle_(std::move(oracle)),
         render_(std::move(render)),
         render_hypothesis_(std::move(render_hypothesis)) {}
 
+  std::unique_ptr<ScenarioSession> NewSession(
+      const SessionOptions& options) const override {
+    return std::make_unique<TypedScenarioSession<Engine>>(
+        this->shared_from_this(), LearningSession<Engine>(baseline_, options));
+  }
+
+  bool Oracle(const Item& item) const { return oracle_(item); }
+  std::string Render(const Item& item) const { return render_(item); }
+  std::string RenderHypothesis(
+      const typename Engine::HypothesisT& hypothesis) const {
+    return render_hypothesis_(hypothesis);
+  }
+
+ private:
+  const std::shared_ptr<const void> context_;
+  const LearningSession<Engine> baseline_;
+  const OracleFn oracle_;
+  const RenderFn render_;
+  const HypothesisFn render_hypothesis_;
+};
+
+/// The per-session half: the engine's mutable state, RNG lanes and stats,
+/// plus a reference on the universe it started from.
+template <typename Engine>
+class TypedScenarioSession : public ScenarioSession {
+ public:
+  using Item = typename Engine::Item;
+
+  TypedScenarioSession(std::shared_ptr<const TypedUniverse<Engine>> universe,
+                       LearningSession<Engine> session)
+      : universe_(std::move(universe)), session_(std::move(session)) {}
+
   std::optional<std::string> NextQuestion() override {
     auto item = session_.NextQuestion();
     if (!item.has_value()) return std::nullopt;
-    return render_(*item);
+    return universe_->Render(*item);
   }
 
   std::vector<std::string> NextQuestions(size_t k) override {
     std::vector<std::string> rendered;
     for (const Item& item : session_.NextQuestions(k)) {
-      rendered.push_back(render_(item));
+      rendered.push_back(universe_->Render(item));
     }
     return rendered;
   }
@@ -74,7 +114,7 @@ class TypedScenarioSession : public ScenarioSession {
     std::vector<bool> labels;
     labels.reserve(session_.pending().size());
     for (const Item& item : session_.pending()) {
-      labels.push_back(oracle_(item));
+      labels.push_back(universe_->Oracle(item));
     }
     return labels;
   }
@@ -95,7 +135,7 @@ class TypedScenarioSession : public ScenarioSession {
   const SessionStats& stats() const override { return session_.stats(); }
 
   std::string Hypothesis() const override {
-    return render_hypothesis_(session_.Hypothesis());
+    return universe_->RenderHypothesis(session_.Hypothesis());
   }
 
   common::Status SerializeSnapshot(std::string* out) const override {
@@ -107,12 +147,17 @@ class TypedScenarioSession : public ScenarioSession {
   }
 
  private:
-  std::shared_ptr<void> context_;
+  std::shared_ptr<const TypedUniverse<Engine>> universe_;
   LearningSession<Engine> session_;
-  OracleFn oracle_;
-  RenderFn render_;
-  HypothesisFn render_hypothesis_;
 };
+
+using UniverseResult = Result<std::shared_ptr<const ScenarioUniverse>>;
+
+template <typename Engine, typename... Args>
+UniverseResult MakeUniverse(Args&&... args) {
+  return std::shared_ptr<const ScenarioUniverse>(
+      std::make_shared<TypedUniverse<Engine>>(std::forward<Args>(args)...));
+}
 
 // ---------------------------------------------------------------------------
 // "twig": XML people directory, hidden goal /site/people/person[age]/name.
@@ -123,8 +168,7 @@ struct TwigContext {
   twig::TwigQuery goal;
 };
 
-Result<std::unique_ptr<ScenarioSession>> MakeTwigScenario(
-    const SessionOptions& options,
+UniverseResult MakeTwigScenario(
     learn::TwigStrategy strategy = learn::TwigStrategy::kGreedyImpact) {
   auto context = std::make_shared<TwigContext>();
   auto doc = xml::ParseXml(
@@ -155,36 +199,31 @@ Result<std::unique_ptr<ScenarioSession>> MakeTwigScenario(
 
   learn::InteractiveTwigOptions engine_options;
   engine_options.strategy = strategy;
-  SessionOptions session_options = options;
-  LearningSession<learn::TwigEngine> session(
-      learn::TwigEngine(&context->doc, seed, engine_options),
-      session_options);
-  TwigContext* ctx = context.get();
-  return std::unique_ptr<ScenarioSession>(
-      new TypedScenarioSession<learn::TwigEngine>(
-          context, std::move(session),
-          [ctx](const xml::NodeId& node) {
-            return twig::Selects(ctx->goal, ctx->doc, node);
-          },
-          [ctx](const xml::NodeId& node) {
-            // Render the root-to-node label path, e.g.
-            // "is site/people/person/name (node 4) what you want?".
-            std::vector<xml::NodeId> chain;
-            for (xml::NodeId v = node; v != xml::kInvalidNode;
-                 v = ctx->doc.parent(v)) {
-              chain.push_back(v);
-            }
-            std::string path;
-            for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-              if (!path.empty()) path += "/";
-              path += ctx->interner.Name(ctx->doc.label(*it));
-            }
-            return "is " + path + " (node " + std::to_string(node) +
-                   ") what you want?";
-          },
-          [ctx](const twig::TwigQuery& query) {
-            return query.ToString(ctx->interner);
-          }));
+  const TwigContext* ctx = context.get();
+  return MakeUniverse<learn::TwigEngine>(
+      context, learn::TwigEngine(&context->doc, seed, engine_options),
+      [ctx](const xml::NodeId& node) {
+        return twig::Selects(ctx->goal, ctx->doc, node);
+      },
+      [ctx](const xml::NodeId& node) {
+        // Render the root-to-node label path, e.g.
+        // "is site/people/person/name (node 4) what you want?".
+        std::vector<xml::NodeId> chain;
+        for (xml::NodeId v = node; v != xml::kInvalidNode;
+             v = ctx->doc.parent(v)) {
+          chain.push_back(v);
+        }
+        std::string path;
+        for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+          if (!path.empty()) path += "/";
+          path += ctx->interner.Name(ctx->doc.label(*it));
+        }
+        return "is " + path + " (node " + std::to_string(node) +
+               ") what you want?";
+      },
+      [ctx](const twig::TwigQuery& query) {
+        return query.ToString(ctx->interner);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -194,8 +233,7 @@ Result<std::unique_ptr<ScenarioSession>> MakeTwigScenario(
 // consistency machinery that experiment E4 stresses with positive AND
 // negative examples.
 
-Result<std::unique_ptr<ScenarioSession>> MakeTwigAmbiguityScenario(
-    const SessionOptions& options) {
+UniverseResult MakeTwigAmbiguityScenario() {
   auto context = std::make_shared<TwigContext>();
   auto doc = xml::ParseXml(
       "<a><a><a><a/><a/></a><a/></a><a><a/></a></a>", &context->interner);
@@ -216,23 +254,20 @@ Result<std::unique_ptr<ScenarioSession>> MakeTwigAmbiguityScenario(
     return Status::Internal("twig-ambiguity scenario has no positive seed");
   }
 
-  LearningSession<learn::TwigEngine> session(
-      learn::TwigEngine(&context->doc, seed), options);
-  TwigContext* ctx = context.get();
-  return std::unique_ptr<ScenarioSession>(
-      new TypedScenarioSession<learn::TwigEngine>(
-          context, std::move(session),
-          [ctx](const xml::NodeId& node) {
-            return twig::Selects(ctx->goal, ctx->doc, node);
-          },
-          [ctx](const xml::NodeId& node) {
-            return "is node " + std::to_string(node) + " (depth " +
-                   std::to_string(ctx->doc.depth(node)) +
-                   " in the all-a document) what you want?";
-          },
-          [ctx](const twig::TwigQuery& query) {
-            return query.ToString(ctx->interner);
-          }));
+  const TwigContext* ctx = context.get();
+  return MakeUniverse<learn::TwigEngine>(
+      context, learn::TwigEngine(&context->doc, seed),
+      [ctx](const xml::NodeId& node) {
+        return twig::Selects(ctx->goal, ctx->doc, node);
+      },
+      [ctx](const xml::NodeId& node) {
+        return "is node " + std::to_string(node) + " (depth " +
+               std::to_string(ctx->doc.depth(node)) +
+               " in the all-a document) what you want?";
+      },
+      [ctx](const twig::TwigQuery& query) {
+        return query.ToString(ctx->interner);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -253,8 +288,7 @@ struct JoinContext {
   rlearn::PairMask goal = 0;
 };
 
-Result<std::unique_ptr<ScenarioSession>> MakeJoinScenario(
-    const SessionOptions& options,
+UniverseResult MakeJoinScenario(
     rlearn::JoinStrategy strategy = rlearn::JoinStrategy::kSplitHalf) {
   relational::JoinInstanceOptions instance_options;
   instance_options.seed = 5;
@@ -279,33 +313,30 @@ Result<std::unique_ptr<ScenarioSession>> MakeJoinScenario(
 
   rlearn::InteractiveJoinOptions engine_options;
   engine_options.strategy = strategy;
-  LearningSession<rlearn::JoinEngine> session(
+  const JoinContext* ctx = context.get();
+  return MakeUniverse<rlearn::JoinEngine>(
+      context,
       rlearn::JoinEngine(&context->universe, &context->instance.left,
                          &context->instance.right, engine_options),
-      options);
-  JoinContext* ctx = context.get();
-  return std::unique_ptr<ScenarioSession>(
-      new TypedScenarioSession<rlearn::JoinEngine>(
-          context, std::move(session),
-          [ctx](const rlearn::PairExample& pair) {
-            return rlearn::MaskSatisfied(
-                ctx->goal,
-                ctx->universe.AgreeMask(
-                    ctx->instance.left.row(pair.left_row),
-                    ctx->instance.right.row(pair.right_row)));
-          },
-          [ctx](const rlearn::PairExample& pair) {
-            return "do these tuples join? left#" +
-                   std::to_string(pair.left_row) + " " +
-                   TupleText(ctx->instance.left.row(pair.left_row)) +
-                   "  right#" + std::to_string(pair.right_row) + " " +
-                   TupleText(ctx->instance.right.row(pair.right_row));
-          },
-          [ctx](const rlearn::PairMask& mask) {
-            return ctx->universe.MaskToString(mask,
-                                              ctx->instance.left.schema(),
-                                              ctx->instance.right.schema());
-          }));
+      [ctx](const rlearn::PairExample& pair) {
+        return rlearn::MaskSatisfied(
+            ctx->goal,
+            ctx->universe.AgreeMask(
+                ctx->instance.left.row(pair.left_row),
+                ctx->instance.right.row(pair.right_row)));
+      },
+      [ctx](const rlearn::PairExample& pair) {
+        return "do these tuples join? left#" +
+               std::to_string(pair.left_row) + " " +
+               TupleText(ctx->instance.left.row(pair.left_row)) +
+               "  right#" + std::to_string(pair.right_row) + " " +
+               TupleText(ctx->instance.right.row(pair.right_row));
+      },
+      [ctx](const rlearn::PairMask& mask) {
+        return ctx->universe.MaskToString(mask,
+                                          ctx->instance.left.schema(),
+                                          ctx->instance.right.schema());
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -318,8 +349,7 @@ struct ChainContext {
   rlearn::ChainMask goal;
 };
 
-Result<std::unique_ptr<ScenarioSession>> MakeChainScenario(
-    const SessionOptions& options,
+UniverseResult MakeChainScenario(
     rlearn::ChainStrategy strategy = rlearn::ChainStrategy::kSplitHalf) {
   auto context = std::make_shared<ChainContext>();
   context->relations = relational::TinyStoreChainRelations();
@@ -342,35 +372,32 @@ Result<std::unique_ptr<ScenarioSession>> MakeChainScenario(
 
   rlearn::InteractiveChainOptions engine_options;
   engine_options.strategy = strategy;
-  LearningSession<rlearn::ChainEngine> session(
-      rlearn::ChainEngine(&*context->chain, engine_options), options);
-  ChainContext* ctx = context.get();
-  return std::unique_ptr<ScenarioSession>(
-      new TypedScenarioSession<rlearn::ChainEngine>(
-          context, std::move(session),
-          [ctx](const rlearn::ChainExample& example) {
-            return rlearn::ChainSatisfied(*ctx->chain, ctx->goal, example);
-          },
-          [ctx](const rlearn::ChainExample& example) {
-            std::string text = "is this tuple path in the chain join?";
-            for (size_t i = 0; i < ctx->chain->length(); ++i) {
-              const relational::Relation& r = ctx->chain->relation(i);
-              text += " " + r.schema().name() + "#" +
-                      std::to_string(example.rows[i]) + " " +
-                      TupleText(r.row(example.rows[i]));
-            }
-            return text;
-          },
-          [ctx](const rlearn::ChainMask& hypothesis) {
-            std::string text;
-            for (size_t e = 0; e < hypothesis.size(); ++e) {
-              if (!text.empty()) text += " AND ";
-              text += ctx->chain->universe(e).MaskToString(
-                  hypothesis[e], ctx->chain->relation(e).schema(),
-                  ctx->chain->relation(e + 1).schema());
-            }
-            return text;
-          }));
+  const ChainContext* ctx = context.get();
+  return MakeUniverse<rlearn::ChainEngine>(
+      context, rlearn::ChainEngine(&*context->chain, engine_options),
+      [ctx](const rlearn::ChainExample& example) {
+        return rlearn::ChainSatisfied(*ctx->chain, ctx->goal, example);
+      },
+      [ctx](const rlearn::ChainExample& example) {
+        std::string text = "is this tuple path in the chain join?";
+        for (size_t i = 0; i < ctx->chain->length(); ++i) {
+          const relational::Relation& r = ctx->chain->relation(i);
+          text += " " + r.schema().name() + "#" +
+                  std::to_string(example.rows[i]) + " " +
+                  TupleText(r.row(example.rows[i]));
+        }
+        return text;
+      },
+      [ctx](const rlearn::ChainMask& hypothesis) {
+        std::string text;
+        for (size_t e = 0; e < hypothesis.size(); ++e) {
+          if (!text.empty()) text += " AND ";
+          text += ctx->chain->universe(e).MaskToString(
+              hypothesis[e], ctx->chain->relation(e).schema(),
+              ctx->chain->relation(e + 1).schema());
+        }
+        return text;
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -383,8 +410,7 @@ struct PathContext {
   std::unique_ptr<glearn::GoalPathOracle> oracle;
 };
 
-Result<std::unique_ptr<ScenarioSession>> MakePathScenario(
-    const SessionOptions& options,
+UniverseResult MakePathScenario(
     glearn::PathStrategy strategy = glearn::PathStrategy::kFrontier) {
   auto context = std::make_shared<PathContext>();
   graph::GeoOptions geo;
@@ -419,93 +445,75 @@ Result<std::unique_ptr<ScenarioSession>> MakePathScenario(
     if (!workload.ok()) return workload.status();
     path_options.workload.push_back(workload.value());
   }
-  LearningSession<glearn::PathEngine> session(
-      glearn::PathEngine(&context->g, seed, path_options), options);
-  PathContext* ctx = context.get();
-  return std::unique_ptr<ScenarioSession>(
-      new TypedScenarioSession<glearn::PathEngine>(
-          context, std::move(session),
-          [ctx](const glearn::PathEngine::Question& question) {
-            return ctx->oracle->IsPositive(*question.path);
-          },
-          [ctx](const glearn::PathEngine::Question& question) {
-            std::string labels;
-            for (common::SymbolId s : *question.word) {
-              if (!labels.empty()) labels += ".";
-              labels += ctx->interner.Name(s);
-            }
-            return "is the route " + labels + " (from city " +
-                   std::to_string(question.path->start) +
-                   ") a path you want?";
-          },
-          [ctx](const glearn::ConcatPattern& pattern) {
-            return pattern.ToString(ctx->interner);
-          }));
+  const PathContext* ctx = context.get();
+  return MakeUniverse<glearn::PathEngine>(
+      context, glearn::PathEngine(&context->g, seed, path_options),
+      [ctx](const glearn::PathEngine::Question& question) {
+        return ctx->oracle->IsPositive(*question.path);
+      },
+      [ctx](const glearn::PathEngine::Question& question) {
+        std::string labels;
+        for (common::SymbolId s : *question.word) {
+          if (!labels.empty()) labels += ".";
+          labels += ctx->interner.Name(s);
+        }
+        return "is the route " + labels + " (from city " +
+               std::to_string(question.path->start) +
+               ") a path you want?";
+      },
+      [ctx](const glearn::ConcatPattern& pattern) {
+        return pattern.ToString(ctx->interner);
+      });
 }
 
 }  // namespace
 
+Status RegisterBuiltinScenarios(ScenarioRegistry* registry) {
+  const std::pair<ScenarioInfo, ScenarioRegistry::Factory> builtins[] = {
+      {{"twig", "XML twig query over a people directory (Section 2)"},
+       [] { return MakeTwigScenario(); }},
+      {{"twig-ambiguity",
+        "twig consistency over a repeated-label document (Section 2, E4)"},
+       MakeTwigAmbiguityScenario},
+      {{"join", "relational equi-join predicate over tuple pairs "
+                "(Section 3, E6)"},
+       [] { return MakeJoinScenario(); }},
+      {{"chain", "chain of equi-joins along a foreign-key path "
+                 "(Section 3, E12)"},
+       [] { return MakeChainScenario(); }},
+      {{"path", "graph path query on a road network (Section 3, E7)"},
+       [] { return MakePathScenario(); }},
+      // Strategy variants of the four datasets, so every selection
+      // strategy the shared frontier drives is reachable by name — and
+      // pinned by a golden transcript (the plain names above pin the
+      // default strategies: twig kGreedyImpact, join/chain kSplitHalf, path
+      // kFrontier).
+      {{"twig-random", "the twig scenario under uniform-random selection"},
+       [] { return MakeTwigScenario(learn::TwigStrategy::kRandom); }},
+      {{"join-random", "the join scenario under uniform-random selection"},
+       [] { return MakeJoinScenario(rlearn::JoinStrategy::kRandom); }},
+      {{"join-lattice",
+        "the join scenario probing one candidate pair's necessity per "
+        "question"},
+       [] { return MakeJoinScenario(rlearn::JoinStrategy::kLattice); }},
+      {{"chain-random", "the chain scenario under uniform-random selection"},
+       [] { return MakeChainScenario(rlearn::ChainStrategy::kRandom); }},
+      {{"path-random", "the path scenario under uniform-random selection"},
+       [] { return MakePathScenario(glearn::PathStrategy::kRandom); }},
+      {{"path-workload",
+        "the path scenario preferring paths that match a historical "
+        "workload"},
+       [] { return MakePathScenario(glearn::PathStrategy::kWorkload); }},
+  };
+  for (const auto& [info, factory] : builtins) {
+    QLEARN_RETURN_IF_ERROR(registry->Register(info, factory));
+  }
+  return Status::OK();
+}
+
 void RegisterBuiltinScenarios() {
   static const bool registered = [] {
-    ScenarioRegistry* registry = ScenarioRegistry::Global();
-    (void)registry->Register(
-        {"twig", "XML twig query over a people directory (Section 2)"},
-        [](const SessionOptions& options) { return MakeTwigScenario(options); });
-    (void)registry->Register(
-        {"twig-ambiguity",
-         "twig consistency over a repeated-label document (Section 2, E4)"},
-        MakeTwigAmbiguityScenario);
-    (void)registry->Register(
-        {"join", "relational equi-join predicate over tuple pairs "
-                 "(Section 3, E6)"},
-        [](const SessionOptions& options) { return MakeJoinScenario(options); });
-    (void)registry->Register(
-        {"chain", "chain of equi-joins along a foreign-key path "
-                  "(Section 3, E12)"},
-        [](const SessionOptions& options) {
-          return MakeChainScenario(options);
-        });
-    (void)registry->Register(
-        {"path", "graph path query on a road network (Section 3, E7)"},
-        [](const SessionOptions& options) { return MakePathScenario(options); });
-    // Strategy variants of the four datasets, so every selection strategy
-    // the shared frontier drives is reachable by name — and pinned by a
-    // golden transcript (the plain names above pin the default strategies:
-    // twig kGreedyImpact, join/chain kSplitHalf, path kFrontier).
-    (void)registry->Register(
-        {"twig-random", "the twig scenario under uniform-random selection"},
-        [](const SessionOptions& options) {
-          return MakeTwigScenario(options, learn::TwigStrategy::kRandom);
-        });
-    (void)registry->Register(
-        {"join-random", "the join scenario under uniform-random selection"},
-        [](const SessionOptions& options) {
-          return MakeJoinScenario(options, rlearn::JoinStrategy::kRandom);
-        });
-    (void)registry->Register(
-        {"join-lattice",
-         "the join scenario probing one candidate pair's necessity per "
-         "question"},
-        [](const SessionOptions& options) {
-          return MakeJoinScenario(options, rlearn::JoinStrategy::kLattice);
-        });
-    (void)registry->Register(
-        {"chain-random", "the chain scenario under uniform-random selection"},
-        [](const SessionOptions& options) {
-          return MakeChainScenario(options, rlearn::ChainStrategy::kRandom);
-        });
-    (void)registry->Register(
-        {"path-random", "the path scenario under uniform-random selection"},
-        [](const SessionOptions& options) {
-          return MakePathScenario(options, glearn::PathStrategy::kRandom);
-        });
-    (void)registry->Register(
-        {"path-workload",
-         "the path scenario preferring paths that match a historical "
-         "workload"},
-        [](const SessionOptions& options) {
-          return MakePathScenario(options, glearn::PathStrategy::kWorkload);
-        });
+    (void)RegisterBuiltinScenarios(ScenarioRegistry::Global());
     return true;
   }();
   (void)registered;

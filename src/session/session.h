@@ -163,6 +163,20 @@ class LearningSession {
     engine_.Propagate(&stats_);
   }
 
+  /// Starts a session from `baseline`, a session that has asked nothing
+  /// yet: copies its engine and stats as they stand after the baseline
+  /// Propagate instead of re-running it, under `options`' seed and budget.
+  /// Replays exactly like a session constructed over the same engine.
+  LearningSession(const LearningSession& baseline,
+                  const SessionOptions& options)
+      : engine_(baseline.engine_),
+        rng_(options.seed),
+        max_questions_(options.max_questions),
+        stats_(baseline.stats_) {
+    assert(baseline.stats_.questions == 0 && !baseline.finished_ &&
+           "a baseline session has asked nothing");
+  }
+
   /// Selects the next informative item, or nullopt when the session is over
   /// (everything settled, budget exhausted, or the engine aborted). The
   /// returned item is pending until Answer() is called.

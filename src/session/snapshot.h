@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +46,12 @@ class SnapshotWriter {
 
   void WriteWords(const std::vector<uint64_t>& words) {
     WriteWords(words.data(), words.size());
+  }
+
+  /// A run of `count` raw bytes, unprefixed (the reader must know the
+  /// count).
+  void WriteByteRun(const uint8_t* bytes, size_t count) {
+    if (count != 0) out_.append(reinterpret_cast<const char*>(bytes), count);
   }
 
   /// Length-prefixed byte string (u64 count + raw bytes).
@@ -102,6 +109,14 @@ class SnapshotReader {
       common::Status s = ReadU64(&words[i]);
       if (!s.ok()) return s;
     }
+    return common::Status::OK();
+  }
+
+  /// A run of `count` raw bytes written by WriteByteRun.
+  common::Status ReadByteRun(uint8_t* bytes, size_t count) {
+    if (count > remaining()) return Truncated();
+    if (count != 0) std::memcpy(bytes, image_.data() + pos_, count);
+    pos_ += count;
     return common::Status::OK();
   }
 

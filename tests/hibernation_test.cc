@@ -500,6 +500,201 @@ TEST(HibernationFaults, EveryFaultPathIncrementsHibernateErrors) {
 }
 
 // ---------------------------------------------------------------------------
+// Import of forged images: a checksum anyone can recompute proves nothing,
+// so every field an importer controls must be validated on rehydrate.
+
+/// A join session's exported image after one answered batch.
+std::string ExportedJoinImage() {
+  SessionService source;
+  const std::string id = OpenAndPark(&source);
+  auto exported = source.ExportSession(id);
+  EXPECT_TRUE(exported.ok()) << exported.status().ToString();
+  return exported.ok() ? exported.value().image : std::string();
+}
+
+uint64_t ReadU64At(const std::string& bytes, size_t at) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[at + i])) << (8 * i);
+  }
+  return v;
+}
+
+void OrU64At(std::string* bytes, size_t at, uint64_t bits) {
+  for (size_t i = 0; i < 8; ++i) {
+    (*bytes)[at + i] = static_cast<char>(
+        static_cast<uint8_t>((*bytes)[at + i]) | ((bits >> (8 * i)) & 0xff));
+  }
+}
+
+/// Where the candidate-store image ("QLCS") inside a hibernation body keeps
+/// its dense extent and its open/active words.
+struct StoreLayout {
+  uint64_t dense = 0;
+  size_t open = 0;    ///< byte offset of the first open word
+  size_t active = 0;  ///< byte offset of the first active word
+};
+
+StoreLayout FindStoreLayout(const std::string& body) {
+  const size_t at = body.find("QLCS");
+  EXPECT_NE(at, std::string::npos);
+  StoreLayout layout;
+  const uint64_t capacity = ReadU64At(body, at + 20);
+  layout.dense = ReadU64At(body, at + 28);
+  layout.open = at + 44 + 8 * ((capacity + 63) / 64);
+  layout.active = layout.open + 8 * ((layout.dense + 63) / 64);
+  return layout;
+}
+
+/// Imports `body` (with a recomputed checksum) into a fresh service and
+/// asks: the answer must be a structured error, never a crash.
+Status ImportAndAsk(const std::string& body, uint64_t* errors) {
+  SessionService target;
+  const Status imported =
+      target.ImportSession("s-forged", "join", WithFixedChecksum(body));
+  if (!imported.ok()) return imported;
+  const Status asked = target.Ask("s-forged", 1).status();
+  *errors = target.Counters().errors;
+  return asked;
+}
+
+TEST(HibernationImport, ForgedStoreBitsPastTheDenseExtentAreRejected) {
+  const std::string image = ExportedJoinImage();
+  const std::string body = image.substr(0, image.size() - 8);
+  const StoreLayout layout = FindStoreLayout(body);
+  ASSERT_NE(layout.dense % 64, 0u) << "no slack bits to forge";
+  const size_t last = (layout.dense + 63) / 64 - 1;
+  const uint64_t past = 1ULL << (layout.dense % 64);
+  std::string forged = body;
+  OrU64At(&forged, layout.open + 8 * last, past);
+  OrU64At(&forged, layout.active + 8 * last, past);
+  uint64_t errors = 0;
+  const Status refused = ImportAndAsk(forged, &errors);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused.ToString();
+  EXPECT_NE(refused.message().find("dense extent"), std::string::npos)
+      << refused.message();
+  EXPECT_EQ(errors, 1u);
+}
+
+TEST(HibernationImport, ForgedOpenOutsideActiveIsRejected) {
+  const std::string image = ExportedJoinImage();
+  const std::string body = image.substr(0, image.size() - 8);
+  const StoreLayout layout = FindStoreLayout(body);
+  const size_t words = (layout.dense + 63) / 64;
+  // Reopen a candidate that is settled (inactive) in the image.
+  std::string forged = body;
+  bool done = false;
+  for (size_t w = 0; w < words && !done; ++w) {
+    const uint64_t active = ReadU64At(body, layout.active + 8 * w);
+    const uint64_t valid =
+        (w + 1 < words || layout.dense % 64 == 0)
+            ? ~0ULL
+            : (1ULL << (layout.dense % 64)) - 1;
+    const uint64_t inactive = ~active & valid;
+    if (inactive != 0) {
+      OrU64At(&forged, layout.open + 8 * w, inactive & (~inactive + 1));
+      done = true;
+    }
+  }
+  ASSERT_TRUE(done) << "no settled candidate on the dense axis";
+  uint64_t errors = 0;
+  const Status refused = ImportAndAsk(forged, &errors);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused.ToString();
+  EXPECT_NE(refused.message().find("outside the active set"),
+            std::string::npos)
+      << refused.message();
+}
+
+TEST(HibernationImport, TruncatedHeadersCountAsErrors) {
+  const std::string image = ExportedJoinImage();
+  const std::string body = image.substr(0, image.size() - 8);
+  // Cut inside the magic, the version, and the scenario name: each read
+  // fails with a structured status and counts as a failed call.
+  SessionService target;
+  uint64_t expected = 0;
+  for (const size_t len : {2u, 6u, 12u}) {
+    const Status refused = target.ImportSession(
+        "s-cut", "join", WithFixedChecksum(body.substr(0, len)));
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << len;
+    EXPECT_NE(refused.message().find("truncated at byte"), std::string::npos)
+        << refused.message();
+    EXPECT_EQ(target.Counters().errors, ++expected) << len;
+  }
+  EXPECT_EQ(target.OpenCount(), 0u);
+}
+
+TEST(HibernationImport, VersionOneImagesAreRejected) {
+  const std::string image = ExportedJoinImage();
+  std::string body = image.substr(0, image.size() - 8);
+  ASSERT_EQ(body[4], 2) << "current images are QLSV version 2";
+  body[4] = 1;
+  SessionService target;
+  const Status refused =
+      target.ImportSession("s-old", "join", WithFixedChecksum(body));
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("unsupported hibernation image version 1"),
+            std::string::npos)
+      << refused.message();
+  EXPECT_EQ(target.OpenCount(), 0u);
+}
+
+/// Counts the store operations a service makes.
+class CountingStore : public service::SnapshotStore {
+ public:
+  Status Put(const std::string& key, std::string_view image) override {
+    ++puts;
+    return inner_.Put(key, image);
+  }
+  Result<std::string> Get(const std::string& key) override {
+    ++gets;
+    return inner_.Get(key);
+  }
+  Status Delete(const std::string& key) override {
+    ++deletes;
+    return inner_.Delete(key);
+  }
+  size_t Count() const override { return inner_.Count(); }
+
+  int puts = 0, gets = 0, deletes = 0;
+
+ private:
+  service::InMemorySnapshotStore inner_;
+};
+
+TEST(HibernationExport, ResidentSessionsExportWithoutTheStore) {
+  auto store = std::make_shared<CountingStore>();
+  ServiceOptions options;
+  options.snapshot_store = store;
+  SessionService service(options);
+  auto id = service.Open("path", {});
+  ASSERT_TRUE(id.ok());
+  auto exported = service.ExportSession(id.value());
+  ASSERT_TRUE(exported.ok()) << exported.status().ToString();
+  EXPECT_EQ(store->puts + store->gets + store->deletes, 0);
+  EXPECT_EQ(service.OpenCount(), 0u);
+  EXPECT_EQ(service.Counters().exports, 1u);
+
+  // A parked session still exports from the store, and the image is
+  // consumed.
+  auto parked = service.Open("path", {});
+  ASSERT_TRUE(parked.ok());
+  ASSERT_TRUE(service.Park(parked.value()).ok());
+  auto from_store = service.ExportSession(parked.value());
+  ASSERT_TRUE(from_store.ok()) << from_store.status().ToString();
+  EXPECT_EQ(store->gets, 1);
+  EXPECT_EQ(store->Count(), 0u);
+
+  // Both images import and serve elsewhere.
+  SessionService target;
+  ASSERT_TRUE(
+      target.ImportSession("s-a", "path", exported.value().image).ok());
+  ASSERT_TRUE(
+      target.ImportSession("s-b", "path", from_store.value().image).ok());
+  EXPECT_TRUE(target.Ask("s-a", 1).ok());
+  EXPECT_TRUE(target.Ask("s-b", 1).ok());
+}
+
+// ---------------------------------------------------------------------------
 // File-backed snapshot store.
 
 TEST(FileSnapshotStore, ParkRehydrateRoundTripsThroughDisk) {
