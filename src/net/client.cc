@@ -115,9 +115,8 @@ Status ReadExactly(int fd, char* out, size_t n, const Deadline& deadline) {
 
 }  // namespace
 
-Result<Client> Client::Connect(const std::string& address, uint16_t port,
-                               size_t max_frame_bytes,
-                               int64_t deadline_millis) {
+Result<int> Dial(const std::string& address, uint16_t port,
+                 int64_t deadline_millis) {
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd < 0) {
@@ -158,6 +157,14 @@ Result<Client> Client::Connect(const std::string& address, uint16_t port,
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
+Result<Client> Client::Connect(const std::string& address, uint16_t port,
+                               size_t max_frame_bytes,
+                               int64_t deadline_millis) {
+  QLEARN_ASSIGN_OR_RETURN(const int fd,
+                          Dial(address, port, deadline_millis));
   Client client;
   client.fd_ = fd;
   client.max_frame_bytes_ = max_frame_bytes;

@@ -33,6 +33,12 @@
 namespace qlearn {
 namespace net {
 
+/// Connects to a numeric IPv4 address and port, waiting at most
+/// `deadline_millis` for the handshake (0 waits forever). Returns the
+/// caller-owned socket, non-blocking with TCP_NODELAY set.
+common::Result<int> Dial(const std::string& address, uint16_t port,
+                         int64_t deadline_millis);
+
 class Client {
  public:
   /// Connects to a numeric IPv4 address ("127.0.0.1") and port.

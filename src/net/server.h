@@ -1,12 +1,11 @@
 // Framed-TCP serving front end for SessionService.
 //
-// The server runs `reactors` shard threads. Each shard owns a disjoint set
-// of connections end to end — accept happens on shard 0, which hands new
-// sockets off round-robin — so connection state is single-threaded by
-// construction per shard, with no locks on the socket path. Within a
-// shard, arriving bytes stream through a per-connection FrameReader, and
-// complete request frames are executed against the shared SessionService
-// (thread-safe; distinct sessions run in parallel) in one of two modes:
+// The server is a net::Reactor (net/reactor.h) — `reactors` shard threads,
+// each owning a disjoint set of connections, with accept on shard 0, frame
+// reassembly, backpressure and scatter-gather flushing all shared with
+// net::Router. What the server adds is dispatch: complete request frames
+// are executed against the shared SessionService (thread-safe; distinct
+// sessions run in parallel) in one of two modes:
 //
 //   workers > 0   a fixed per-shard worker pool runs HandleFrameInto and
 //                 hands finished responses back over a completion queue
@@ -18,9 +17,8 @@
 //                 (lowest per-request cost; the BENCH_serving.json rows)
 //
 // The request path is allocation-free at steady state: frames are parsed
-// with an arena (service/json.h ParseInto), reassembly and response
-// buffers recycle through a per-shard BufferPool, and flushing walks the
-// queued frames with sendmsg(2) scatter-gather instead of concatenating.
+// with an arena (service/json.h ParseInto), and reassembly and response
+// buffers recycle through the shard's BufferPool.
 //
 // Per-connection protocol discipline: requests are answered strictly in
 // arrival order. Pipelined frames queue (bounded; the reactor stops

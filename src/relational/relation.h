@@ -61,8 +61,11 @@ class Relation {
   common::Status Insert(Tuple row);
 
   /// Appends without checking (generator fast path; the caller guarantees
-  /// schema conformance).
-  void InsertUnchecked(Tuple row) { rows_.push_back(std::move(row)); }
+  /// schema conformance). Like Insert, drops the cached indexes.
+  void InsertUnchecked(Tuple row) {
+    indexes_.clear();
+    rows_.push_back(std::move(row));
+  }
 
   /// Builds (or returns a cached) hash index on attribute `col`:
   /// value-hash -> row indexes. NULLs are not indexed.

@@ -274,11 +274,10 @@ TEST(NetServerOptionsTest, ZeroReactorsIsRejectedZeroWorkersIsInline) {
 }
 
 TEST(NetServerOptionsTest, StatsAreSafeAgainstConcurrentRestartCycles) {
-  // stats() may race a Stop()/Start() cycle: Start retires and rebuilds
-  // the shard set, and a concurrent reader must see either the old or the
-  // new set, never the vector mid-mutation. A polling thread hammers
-  // stats() through several restart cycles; lifetime counters stay
-  // cumulative across them.
+  // stats() may race a Stop()/Start() cycle, which joins and restarts
+  // every shard thread while a concurrent reader sums the shards'
+  // counters. A polling thread hammers stats() through several restart
+  // cycles; lifetime counters stay cumulative across them.
   service::SessionService service;
   ServerOptions options;
   options.workers = 0;

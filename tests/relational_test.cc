@@ -60,6 +60,16 @@ TEST(RelationTest, IndexSkipsNulls) {
   ASSERT_TRUE(r.Insert({Value()}).ok());
   ASSERT_TRUE(r.Insert({I(7)}).ok());
   EXPECT_EQ(r.IndexOn(0).size(), 2u);
+
+  // An unchecked write after the index was built invalidates it too, and a
+  // join building on `r` sees the new row.
+  r.InsertUnchecked({I(7)});
+  EXPECT_EQ(r.IndexOn(0).size(), 3u);
+  Relation s(RelationSchema("s", {Attribute{"y", ValueType::kInt}}));
+  for (int64_t v : {7, 8, 9, 10}) s.InsertUnchecked({I(v)});
+  auto joined = EquiJoin(s, r, {AttributePair{0, 0}});  // builds on r
+  ASSERT_TRUE(joined.ok());
+  EXPECT_EQ(joined.value().size(), 3u);
 }
 
 class JoinFixture : public ::testing::Test {
