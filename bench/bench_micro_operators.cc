@@ -716,17 +716,15 @@ void BM_WireAskEventRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_WireAskEventRoundTrip)->Arg(1)->Arg(8)->Arg(64);
 
-// --- Protocol frame-handling hot path: heap vs arena -----------------------
+// --- Protocol frame-handling hot path ---------------------------------------
 //
-// One iteration is one steady-state ask(k=1)/tell round trip against a live
-// "join" session, i.e. two request frames through the dispatcher. The Heap
-// variants run the reference HandleFrame (fresh std::string tree per parse,
-// fresh response string); the Arena variants run HandleFrameInto with a
-// reused json::Arena and a recycled response buffer — the exact hot path the
-// server's inline dispatch mode executes. `allocs_per_frame` counts global
-// operator-new calls (alloc_probe_hooks.cc is linked into this binary) and
-// is the headline number BENCH_protocol.json tracks: the arena path must
-// hold it at a small fixed constant.
+// One AskTell iteration is one steady-state ask(k=1)/tell round trip against
+// a live "join" session, i.e. two request frames through HandleFrameInto
+// with a reused json::Arena and a recycled response buffer — the exact hot
+// path the server's inline dispatch mode executes. `allocs_per_frame`
+// counts global operator-new calls (alloc_probe_hooks.cc is linked into
+// this binary) and is the headline number BENCH_protocol.json tracks: it
+// must hold at a small fixed constant.
 
 /// Opens a fresh "join" session and returns its id.
 std::string BenchOpenSession(service::SessionService* svc) {
@@ -737,9 +735,9 @@ std::string BenchOpenSession(service::SessionService* svc) {
   return response.substr(begin, response.find('"', begin) - begin);
 }
 
-/// Shared driver: runs ask/tell rounds through either path, reopening the
-/// session whenever the learner converges (rare; both variants pay it).
-void RunHandleFrameRounds(benchmark::State& state, bool arena_path) {
+/// Runs ask/tell rounds, reopening the session whenever the learner
+/// converges (rare).
+void BM_HandleFrame_AskTellArena(benchmark::State& state) {
   service::SessionService svc;
   service::json::Arena arena;
   std::string out;
@@ -748,13 +746,9 @@ void RunHandleFrameRounds(benchmark::State& state, bool arena_path) {
   std::string tell = "{\"op\":\"tell\",\"id\":\"" + id + "\",\"labels\":[true]}";
   const uint64_t allocs_before = common::AllocProbeNewCount();
   for (auto _ : state) {
-    if (arena_path) {
-      arena.Reset();
-      out.clear();
-      net::HandleFrameInto(&svc, ask, &arena, &out);
-    } else {
-      out = net::HandleFrame(&svc, ask);
-    }
+    arena.Reset();
+    out.clear();
+    net::HandleFrameInto(&svc, ask, &arena, &out);
     if (out.find("\"text\"") == std::string::npos) {
       // Converged (empty batch) or error: retire this session, start fresh.
       net::HandleFrame(&svc, "{\"op\":\"close\",\"id\":\"" + id + "\"}");
@@ -763,13 +757,9 @@ void RunHandleFrameRounds(benchmark::State& state, bool arena_path) {
       tell = "{\"op\":\"tell\",\"id\":\"" + id + "\",\"labels\":[true]}";
       continue;
     }
-    if (arena_path) {
-      arena.Reset();
-      out.clear();
-      net::HandleFrameInto(&svc, tell, &arena, &out);
-    } else {
-      out = net::HandleFrame(&svc, tell);
-    }
+    arena.Reset();
+    out.clear();
+    net::HandleFrameInto(&svc, tell, &arena, &out);
     benchmark::DoNotOptimize(out.data());
   }
   const uint64_t frames = 2 * static_cast<uint64_t>(state.iterations());
@@ -778,21 +768,12 @@ void RunHandleFrameRounds(benchmark::State& state, bool arena_path) {
       static_cast<double>(common::AllocProbeNewCount() - allocs_before) /
       static_cast<double>(frames == 0 ? 1 : frames);
 }
-
-void BM_HandleFrame_AskTellHeap(benchmark::State& state) {
-  RunHandleFrameRounds(state, /*arena_path=*/false);
-}
-BENCHMARK(BM_HandleFrame_AskTellHeap);
-
-void BM_HandleFrame_AskTellArena(benchmark::State& state) {
-  RunHandleFrameRounds(state, /*arena_path=*/true);
-}
 BENCHMARK(BM_HandleFrame_AskTellArena);
 
 /// Counters is the pure protocol-layer op (no learner work at all), so it
-/// isolates parse + serialize cost: the arena path should be allocation-free
-/// at steady state.
-void RunCountersRounds(benchmark::State& state, bool arena_path) {
+/// isolates parse + serialize cost: it should be allocation-free at steady
+/// state.
+void BM_HandleFrame_CountersArena(benchmark::State& state) {
   service::SessionService svc;
   service::json::Arena arena;
   std::string out;
@@ -801,13 +782,9 @@ void RunCountersRounds(benchmark::State& state, bool arena_path) {
   net::HandleFrameInto(&svc, counters, &arena, &out);
   const uint64_t allocs_before = common::AllocProbeNewCount();
   for (auto _ : state) {
-    if (arena_path) {
-      arena.Reset();
-      out.clear();
-      net::HandleFrameInto(&svc, counters, &arena, &out);
-    } else {
-      out = net::HandleFrame(&svc, counters);
-    }
+    arena.Reset();
+    out.clear();
+    net::HandleFrameInto(&svc, counters, &arena, &out);
     benchmark::DoNotOptimize(out.data());
   }
   const uint64_t frames = static_cast<uint64_t>(state.iterations());
@@ -815,15 +792,6 @@ void RunCountersRounds(benchmark::State& state, bool arena_path) {
   state.counters["allocs_per_frame"] =
       static_cast<double>(common::AllocProbeNewCount() - allocs_before) /
       static_cast<double>(frames == 0 ? 1 : frames);
-}
-
-void BM_HandleFrame_CountersHeap(benchmark::State& state) {
-  RunCountersRounds(state, /*arena_path=*/false);
-}
-BENCHMARK(BM_HandleFrame_CountersHeap);
-
-void BM_HandleFrame_CountersArena(benchmark::State& state) {
-  RunCountersRounds(state, /*arena_path=*/true);
 }
 BENCHMARK(BM_HandleFrame_CountersArena);
 

@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "service/json.h"
@@ -11,15 +12,15 @@ namespace {
 
 using common::Result;
 using common::Status;
-using service::SessionBudget;
-using service::wire::QuestionPayload;
-using Json = service::json::Value;
 using service::json::AppendEscaped;
+using service::json::Arena;
 using service::json::CheckAllKeysKnown;
 using service::json::Find;
 using service::json::ToBool;
-using service::json::ToString;
+using service::json::ToStringView;
 using service::json::ToUInt;
+using service::json::View;
+using service::wire::QuestionPayload;
 
 const char* OpName(Request::Op op) {
   switch (op) {
@@ -60,35 +61,29 @@ void AppendLabels(const std::vector<bool>& labels, std::string* out) {
   out->push_back(']');
 }
 
-Result<std::vector<bool>> LabelsFromJson(const Json* value,
-                                         const std::string& what) {
-  if (value == nullptr || value->type != Json::Type::kArray) {
-    return ShapeError("missing or non-array \"" + what + "\"");
+/// Decodes the boolean array `value` (the "labels" member) into an
+/// arena-allocated span.
+Status LabelsFromJson(const View* value, Arena* arena, const bool** labels,
+                      uint32_t* count) {
+  if (value == nullptr || value->type != View::Type::kArray) {
+    return ShapeError("missing or non-array \"labels\"");
   }
-  std::vector<bool> labels;
-  labels.reserve(value->array.size());
-  for (const Json& label : value->array) {
-    if (label.type != Json::Type::kBool) {
-      return ShapeError("non-boolean entry in \"" + what + "\"");
+  bool* decoded = static_cast<bool*>(
+      arena->Allocate(value->element_count * sizeof(bool), alignof(bool)));
+  for (uint32_t i = 0; i < value->element_count; ++i) {
+    if (value->elements[i].type != View::Type::kBool) {
+      return ShapeError("non-boolean entry in \"labels\"");
     }
-    labels.push_back(label.bool_value);
+    decoded[i] = value->elements[i].bool_value;
   }
-  return labels;
-}
-
-/// Reads an optional unsigned field into `*out` (leaves the default when
-/// the key is absent).
-Status OptionalUInt(const Json& object, const std::string& key,
-                    std::vector<bool>* seen, uint64_t* out) {
-  const Json* value = Find(object, key, seen);
-  if (value == nullptr) return Status::OK();
-  QLEARN_ASSIGN_OR_RETURN(*out, ToUInt(value, key));
+  *labels = decoded;
+  *count = value->element_count;
   return Status::OK();
 }
 
 // Hex codec for the snapshot-handoff image: the canonical JSON subset has
 // no binary strings, so export/import carry the QLSV bytes as lowercase
-// hex. Both parse modes share the decode core for identical error wording.
+// hex.
 
 void AppendHexQuoted(std::string_view bytes, std::string* out) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -107,49 +102,32 @@ int HexNibble(char c) {
   return -1;  // uppercase rejected: canonical bytes are lowercase
 }
 
-Status HexDecodeTo(std::string_view hex, std::string_view what, char* out) {
+/// Decodes the hex string `value` (the "image" member) into
+/// arena-allocated bytes.
+Result<std::string_view> ImageFromJson(const View* value, Arena* arena) {
+  QLEARN_ASSIGN_OR_RETURN(const std::string_view hex,
+                          ToStringView(value, "image"));
+  if (hex.size() % 2 != 0) {
+    return ShapeError("\"image\" hex has odd length " +
+                      std::to_string(hex.size()));
+  }
+  char* out = static_cast<char*>(
+      arena->Allocate(hex.size() / 2 + 1, alignof(char)));
   for (size_t i = 0; i < hex.size(); i += 2) {
     const int hi = HexNibble(hex[i]);
     const int lo = HexNibble(hex[i + 1]);
     if (hi < 0 || lo < 0) {
-      return ShapeError("\"" + std::string(what) +
-                        "\" is not lowercase hex");
+      return ShapeError("\"image\" is not lowercase hex");
     }
     out[i / 2] = static_cast<char>((hi << 4) | lo);
   }
-  return Status::OK();
-}
-
-Status CheckHexLength(std::string_view hex, std::string_view what) {
-  if (hex.size() % 2 != 0) {
-    return ShapeError("\"" + std::string(what) +
-                      "\" hex has odd length " + std::to_string(hex.size()));
-  }
-  return Status::OK();
-}
-
-Result<std::string> HexDecode(std::string_view hex, std::string_view what) {
-  QLEARN_RETURN_IF_ERROR(CheckHexLength(hex, what));
-  std::string out(hex.size() / 2, '\0');
-  QLEARN_RETURN_IF_ERROR(HexDecodeTo(hex, what, out.data()));
-  return out;
-}
-
-Result<std::string_view> HexDecodeIntoArena(std::string_view hex,
-                                            std::string_view what,
-                                            service::json::Arena* arena) {
-  QLEARN_RETURN_IF_ERROR(CheckHexLength(hex, what));
-  char* out = static_cast<char*>(
-      arena->Allocate(hex.size() / 2 + 1, alignof(char)));
-  QLEARN_RETURN_IF_ERROR(HexDecodeTo(hex, what, out));
   return std::string_view(out, hex.size() / 2);
 }
 
 // ---------------------------------------------------------------------------
-// Ok-frame writers, one appender per op, shared by the heap and arena
-// dispatch paths (so the two produce identical bytes by construction). All
-// reuse the canonical wire serializations for embedded payloads and append
-// into the caller's (pooled, on the server) buffer.
+// Ok-frame writers, one appender per op. All reuse the canonical wire
+// serializations for embedded payloads and append into the caller's
+// (pooled, on the server) buffer.
 
 void AppendUInt(uint64_t value, std::string* out) {
   service::json::AppendUInt(value, out);
@@ -170,8 +148,6 @@ void AppendOkAsk(const std::vector<QuestionPayload>& questions,
   }
   *out += "]}}";
 }
-
-void AppendOkTell(std::string* out) { *out += "{\"ok\":{}}"; }
 
 void AppendOkOracle(const std::vector<bool>& labels, std::string* out) {
   *out += "{\"ok\":{\"labels\":";
@@ -298,88 +274,116 @@ void AppendErrorFrame(const common::Status& status, std::string* out) {
   *out += "}}";
 }
 
+/// The frame for a service call's outcome: `append_ok(value)` when it
+/// succeeded, the error frame otherwise.
+template <typename T, typename AppendOk>
+void AppendResult(const Result<T>& result, AppendOk append_ok,
+                  std::string* out) {
+  if (result.ok()) {
+    append_ok(result.value(), out);
+  } else {
+    AppendErrorFrame(result.status(), out);
+  }
+}
+
+/// The frame for a call whose ok body is empty (tell, import).
+void AppendEmptyResult(const Status& status, std::string* out) {
+  if (status.ok()) {
+    *out += "{\"ok\":{}}";
+  } else {
+    AppendErrorFrame(status, out);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Ok-frame body parsing, one reader per op (strict, like the wire parsers).
 
-Status LatencyFromJson(const Json* value, const std::string& what,
+Status LatencyFromJson(const View* value, std::string_view what,
                        service::LatencySnapshot* out) {
-  if (value == nullptr || value->type != Json::Type::kArray) {
-    return ShapeError("missing or non-array \"" + what +
+  if (value == nullptr || value->type != View::Type::kArray) {
+    return ShapeError("missing or non-array \"" + std::string(what) +
                       "\" latency histogram");
   }
-  if (value->array.size() > service::LatencySnapshot::kBuckets) {
+  if (value->element_count > service::LatencySnapshot::kBuckets) {
     return ShapeError(
-        "\"" + what + "\" latency histogram has more than " +
+        "\"" + std::string(what) + "\" latency histogram has more than " +
         std::to_string(service::LatencySnapshot::kBuckets) + " buckets");
   }
-  for (size_t i = 0; i < value->array.size(); ++i) {
-    if (value->array[i].type != Json::Type::kUInt) {
-      return ShapeError("non-integer bucket in \"" + what +
+  for (uint32_t i = 0; i < value->element_count; ++i) {
+    if (value->elements[i].type != View::Type::kUInt) {
+      return ShapeError("non-integer bucket in \"" + std::string(what) +
                         "\" latency histogram");
     }
-    out->buckets[i] = value->array[i].uint_value;
+    out->buckets[i] = value->elements[i].uint_value;
   }
   return Status::OK();
 }
 
-Status ParseOkBody(Request::Op op, const Json& body, Response* response) {
-  if (body.type != Json::Type::kObject) {
+Status ParseOkBody(Request::Op op, const View& body, Arena* arena,
+                   Response* response) {
+  if (body.type != View::Type::kObject) {
     return ShapeError("\"ok\" body must be an object");
   }
-  std::vector<bool> seen(body.object.size(), false);
+  uint64_t seen = 0;
+  const auto uint_field = [&](std::string_view key, uint64_t* out) {
+    QLEARN_ASSIGN_OR_RETURN(*out, ToUInt(Find(body, key, &seen), key));
+    return Status::OK();
+  };
+  const auto string_field = [&](std::string_view key, std::string* out) {
+    QLEARN_ASSIGN_OR_RETURN(*out, ToStringView(Find(body, key, &seen), key));
+    return Status::OK();
+  };
   switch (op) {
-    case Request::Op::kOpen: {
-      QLEARN_ASSIGN_OR_RETURN(response->id,
-                              ToString(Find(body, "id", &seen), "id"));
+    case Request::Op::kOpen:
+      QLEARN_RETURN_IF_ERROR(string_field("id", &response->id));
       break;
-    }
     case Request::Op::kAsk: {
-      const Json* questions = Find(body, "questions", &seen);
-      if (questions == nullptr || questions->type != Json::Type::kArray) {
+      const View* questions = Find(body, "questions", &seen);
+      if (questions == nullptr || questions->type != View::Type::kArray) {
         return ShapeError("missing or non-array \"questions\"");
       }
-      for (const Json& question : questions->array) {
-        QLEARN_ASSIGN_OR_RETURN(QuestionPayload payload,
-                                service::wire::QuestionFromJson(question));
+      for (uint32_t i = 0; i < questions->element_count; ++i) {
+        QLEARN_ASSIGN_OR_RETURN(
+            QuestionPayload payload,
+            service::wire::QuestionFromJson(questions->elements[i]));
         response->questions.push_back(std::move(payload));
       }
       break;
     }
     case Request::Op::kTell:
+    case Request::Op::kImport:
       break;  // empty body
     case Request::Op::kOracle: {
-      QLEARN_ASSIGN_OR_RETURN(response->labels,
-                              LabelsFromJson(Find(body, "labels", &seen),
-                                             "labels"));
+      const bool* labels = nullptr;
+      uint32_t count = 0;
+      QLEARN_RETURN_IF_ERROR(LabelsFromJson(Find(body, "labels", &seen),
+                                            arena, &labels, &count));
+      response->labels.assign(labels, labels + count);
       break;
     }
     case Request::Op::kStatus: {
-      QLEARN_ASSIGN_OR_RETURN(response->session.id,
-                              ToString(Find(body, "id", &seen), "id"));
-      QLEARN_ASSIGN_OR_RETURN(
-          response->session.scenario,
-          ToString(Find(body, "scenario", &seen), "scenario"));
-      const Json* stats = Find(body, "stats", &seen);
+      service::SessionStatus& session = response->session;
+      QLEARN_RETURN_IF_ERROR(string_field("id", &session.id));
+      QLEARN_RETURN_IF_ERROR(string_field("scenario", &session.scenario));
+      const View* stats = Find(body, "stats", &seen);
       if (stats == nullptr) return ShapeError("missing \"stats\"");
-      QLEARN_ASSIGN_OR_RETURN(response->session.stats,
+      QLEARN_ASSIGN_OR_RETURN(session.stats,
                               service::wire::StatsFromJson(*stats));
-      QLEARN_ASSIGN_OR_RETURN(const uint64_t pending,
-                              ToUInt(Find(body, "pending", &seen), "pending"));
-      response->session.pending = static_cast<size_t>(pending);
-      QLEARN_ASSIGN_OR_RETURN(response->session.budget_exhausted,
+      uint64_t pending = 0;
+      QLEARN_RETURN_IF_ERROR(uint_field("pending", &pending));
+      session.pending = static_cast<size_t>(pending);
+      QLEARN_ASSIGN_OR_RETURN(session.budget_exhausted,
                               ToBool(Find(body, "budget_exhausted", &seen),
                                      "budget_exhausted"));
-      QLEARN_ASSIGN_OR_RETURN(
-          response->session.hypothesis,
-          ToString(Find(body, "hypothesis", &seen), "hypothesis"));
+      QLEARN_RETURN_IF_ERROR(string_field("hypothesis", &session.hypothesis));
       break;
     }
     case Request::Op::kClose: {
-      const Json* hypothesis = Find(body, "hypothesis", &seen);
+      const View* hypothesis = Find(body, "hypothesis", &seen);
       if (hypothesis == nullptr) return ShapeError("missing \"hypothesis\"");
       QLEARN_ASSIGN_OR_RETURN(response->hypothesis,
                               service::wire::HypothesisFromJson(*hypothesis));
-      const Json* stats = Find(body, "stats", &seen);
+      const View* stats = Find(body, "stats", &seen);
       if (stats == nullptr) return ShapeError("missing \"stats\"");
       QLEARN_ASSIGN_OR_RETURN(response->stats,
                               service::wire::StatsFromJson(*stats));
@@ -387,94 +391,69 @@ Status ParseOkBody(Request::Op op, const Json& body, Response* response) {
     }
     case Request::Op::kCounters: {
       service::ServiceCounters& c = response->counters;
-      QLEARN_ASSIGN_OR_RETURN(c.opens,
-                              ToUInt(Find(body, "opens", &seen), "opens"));
-      QLEARN_ASSIGN_OR_RETURN(c.asks,
-                              ToUInt(Find(body, "asks", &seen), "asks"));
-      QLEARN_ASSIGN_OR_RETURN(c.tells,
-                              ToUInt(Find(body, "tells", &seen), "tells"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.oracles, ToUInt(Find(body, "oracles", &seen), "oracles"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.statuses, ToUInt(Find(body, "statuses", &seen), "statuses"));
-      QLEARN_ASSIGN_OR_RETURN(c.closes,
-                              ToUInt(Find(body, "closes", &seen), "closes"));
-      QLEARN_ASSIGN_OR_RETURN(c.errors,
-                              ToUInt(Find(body, "errors", &seen), "errors"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.questions_served,
-          ToUInt(Find(body, "questions_served", &seen), "questions_served"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.labels_accepted,
-          ToUInt(Find(body, "labels_accepted", &seen), "labels_accepted"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.hibernates, ToUInt(Find(body, "hibernates", &seen), "hibernates"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.rehydrates, ToUInt(Find(body, "rehydrates", &seen), "rehydrates"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.hibernate_errors,
-          ToUInt(Find(body, "hibernate_errors", &seen), "hibernate_errors"));
-      QLEARN_ASSIGN_OR_RETURN(c.exports,
-                              ToUInt(Find(body, "exports", &seen), "exports"));
-      QLEARN_ASSIGN_OR_RETURN(c.imports,
-                              ToUInt(Find(body, "imports", &seen), "imports"));
-      QLEARN_ASSIGN_OR_RETURN(
-          response->open_sessions,
-          ToUInt(Find(body, "open_sessions", &seen), "open_sessions"));
-      QLEARN_ASSIGN_OR_RETURN(
-          response->resident_sessions,
-          ToUInt(Find(body, "resident_sessions", &seen), "resident_sessions"));
-      QLEARN_ASSIGN_OR_RETURN(
-          response->parked_sessions,
-          ToUInt(Find(body, "parked_sessions", &seen), "parked_sessions"));
-      const Json* latency = Find(body, "latency_us", &seen);
-      if (latency == nullptr || latency->type != Json::Type::kObject) {
+      const std::pair<std::string_view, uint64_t*> kFields[] = {
+          {"opens", &c.opens},
+          {"asks", &c.asks},
+          {"tells", &c.tells},
+          {"oracles", &c.oracles},
+          {"statuses", &c.statuses},
+          {"closes", &c.closes},
+          {"errors", &c.errors},
+          {"questions_served", &c.questions_served},
+          {"labels_accepted", &c.labels_accepted},
+          {"hibernates", &c.hibernates},
+          {"rehydrates", &c.rehydrates},
+          {"hibernate_errors", &c.hibernate_errors},
+          {"exports", &c.exports},
+          {"imports", &c.imports},
+          {"open_sessions", &response->open_sessions},
+          {"resident_sessions", &response->resident_sessions},
+          {"parked_sessions", &response->parked_sessions},
+      };
+      for (const auto& [key, out] : kFields) {
+        QLEARN_RETURN_IF_ERROR(uint_field(key, out));
+      }
+      const View* latency = Find(body, "latency_us", &seen);
+      if (latency == nullptr || latency->type != View::Type::kObject) {
         return ShapeError("missing or non-object \"latency_us\"");
       }
-      std::vector<bool> latency_seen(latency->object.size(), false);
-      QLEARN_RETURN_IF_ERROR(LatencyFromJson(
-          Find(*latency, "open", &latency_seen), "open", &c.open_latency_us));
-      QLEARN_RETURN_IF_ERROR(LatencyFromJson(
-          Find(*latency, "ask", &latency_seen), "ask", &c.ask_latency_us));
-      QLEARN_RETURN_IF_ERROR(LatencyFromJson(
-          Find(*latency, "tell", &latency_seen), "tell", &c.tell_latency_us));
-      QLEARN_RETURN_IF_ERROR(
-          LatencyFromJson(Find(*latency, "oracle", &latency_seen), "oracle",
-                          &c.oracle_latency_us));
-      QLEARN_RETURN_IF_ERROR(
-          LatencyFromJson(Find(*latency, "status", &latency_seen), "status",
-                          &c.status_latency_us));
-      QLEARN_RETURN_IF_ERROR(LatencyFromJson(
-          Find(*latency, "close", &latency_seen), "close",
-          &c.close_latency_us));
+      const std::pair<std::string_view, service::LatencySnapshot*>
+          kHistograms[] = {
+              {"open", &c.open_latency_us},
+              {"ask", &c.ask_latency_us},
+              {"tell", &c.tell_latency_us},
+              {"oracle", &c.oracle_latency_us},
+              {"status", &c.status_latency_us},
+              {"close", &c.close_latency_us},
+          };
+      uint64_t latency_seen = 0;
+      for (const auto& [key, out] : kHistograms) {
+        QLEARN_RETURN_IF_ERROR(
+            LatencyFromJson(Find(*latency, key, &latency_seen), key, out));
+      }
       QLEARN_RETURN_IF_ERROR(
           CheckAllKeysKnown(*latency, latency_seen, "\"latency_us\""));
       break;
     }
     case Request::Op::kSessions: {
-      const Json* ids = Find(body, "ids", &seen);
-      if (ids == nullptr || ids->type != Json::Type::kArray) {
+      const View* ids = Find(body, "ids", &seen);
+      if (ids == nullptr || ids->type != View::Type::kArray) {
         return ShapeError("missing or non-array \"ids\"");
       }
-      for (const Json& id : ids->array) {
-        if (id.type != Json::Type::kString) {
+      for (uint32_t i = 0; i < ids->element_count; ++i) {
+        if (ids->elements[i].type != View::Type::kString) {
           return ShapeError("non-string entry in \"ids\"");
         }
-        response->session_ids.push_back(id.string_value);
+        response->session_ids.emplace_back(ids->elements[i].string_value);
       }
       break;
     }
     case Request::Op::kExport: {
-      QLEARN_ASSIGN_OR_RETURN(
-          response->scenario,
-          ToString(Find(body, "scenario", &seen), "scenario"));
-      QLEARN_ASSIGN_OR_RETURN(const std::string hex,
-                              ToString(Find(body, "image", &seen), "image"));
-      QLEARN_ASSIGN_OR_RETURN(response->image, HexDecode(hex, "image"));
+      QLEARN_RETURN_IF_ERROR(string_field("scenario", &response->scenario));
+      QLEARN_ASSIGN_OR_RETURN(response->image,
+                              ImageFromJson(Find(body, "image", &seen), arena));
       break;
     }
-    case Request::Op::kImport:
-      break;  // empty body
   }
   return CheckAllKeysKnown(body, seen, std::string("\"") + OpName(op) +
                                            "\" ok body");
@@ -533,71 +512,6 @@ std::string Serialize(const Request& request) {
   return out;
 }
 
-common::Result<Request> ParseRequest(const std::string& text) {
-  QLEARN_ASSIGN_OR_RETURN(const Json value, service::json::Parse(text));
-  if (value.type != Json::Type::kObject) {
-    return ShapeError("request must be an object");
-  }
-  std::vector<bool> seen(value.object.size(), false);
-  QLEARN_ASSIGN_OR_RETURN(const std::string op,
-                          ToString(Find(value, "op", &seen), "op"));
-  Request request;
-  if (op == "open") {
-    request.op = Request::Op::kOpen;
-    QLEARN_ASSIGN_OR_RETURN(
-        request.scenario, ToString(Find(value, "scenario", &seen), "scenario"));
-    QLEARN_RETURN_IF_ERROR(OptionalUInt(value, "seed", &seen, &request.seed));
-    QLEARN_RETURN_IF_ERROR(
-        OptionalUInt(value, "max_questions", &seen, &request.max_questions));
-    QLEARN_RETURN_IF_ERROR(
-        OptionalUInt(value, "max_pending", &seen, &request.max_pending));
-    QLEARN_RETURN_IF_ERROR(OptionalUInt(value, "max_wall_micros", &seen,
-                                        &request.max_wall_micros));
-    const Json* id = Find(value, "id", &seen);
-    if (id != nullptr) {
-      QLEARN_ASSIGN_OR_RETURN(request.id, ToString(id, "id"));
-    }
-  } else if (op == "ask") {
-    request.op = Request::Op::kAsk;
-    QLEARN_ASSIGN_OR_RETURN(request.id,
-                            ToString(Find(value, "id", &seen), "id"));
-    QLEARN_ASSIGN_OR_RETURN(request.k, ToUInt(Find(value, "k", &seen), "k"));
-  } else if (op == "tell") {
-    request.op = Request::Op::kTell;
-    QLEARN_ASSIGN_OR_RETURN(request.id,
-                            ToString(Find(value, "id", &seen), "id"));
-    QLEARN_ASSIGN_OR_RETURN(
-        request.labels, LabelsFromJson(Find(value, "labels", &seen),
-                                       "labels"));
-  } else if (op == "oracle" || op == "status" || op == "close" ||
-             op == "export") {
-    request.op = op == "oracle"   ? Request::Op::kOracle
-                 : op == "status" ? Request::Op::kStatus
-                 : op == "close"  ? Request::Op::kClose
-                                  : Request::Op::kExport;
-    QLEARN_ASSIGN_OR_RETURN(request.id,
-                            ToString(Find(value, "id", &seen), "id"));
-  } else if (op == "import") {
-    request.op = Request::Op::kImport;
-    QLEARN_ASSIGN_OR_RETURN(request.id,
-                            ToString(Find(value, "id", &seen), "id"));
-    QLEARN_ASSIGN_OR_RETURN(
-        request.scenario, ToString(Find(value, "scenario", &seen), "scenario"));
-    QLEARN_ASSIGN_OR_RETURN(const std::string hex,
-                            ToString(Find(value, "image", &seen), "image"));
-    QLEARN_ASSIGN_OR_RETURN(request.image, HexDecode(hex, "image"));
-  } else if (op == "counters") {
-    request.op = Request::Op::kCounters;
-  } else if (op == "sessions") {
-    request.op = Request::Op::kSessions;
-  } else {
-    return ShapeError("unknown op \"" + op + "\"");
-  }
-  QLEARN_RETURN_IF_ERROR(
-      CheckAllKeysKnown(value, seen, "\"" + op + "\" request"));
-  return request;
-}
-
 std::string SerializeError(const common::Status& status) {
   std::string out;
   AppendErrorFrame(status, &out);
@@ -606,162 +520,95 @@ std::string SerializeError(const common::Status& status) {
 
 common::Result<Response> ParseResponse(Request::Op op,
                                        const std::string& text) {
-  QLEARN_ASSIGN_OR_RETURN(const Json value, service::json::Parse(text));
-  if (value.type != Json::Type::kObject || value.object.size() != 1) {
+  Arena arena;
+  QLEARN_ASSIGN_OR_RETURN(const View* value,
+                          service::json::ParseInto(text, &arena));
+  if (value->type != View::Type::kObject || value->member_count != 1) {
     return ShapeError("response must be an object with one key");
   }
-  const auto& [tag, body] = value.object[0];
+  const std::string_view tag = value->members[0].key;
+  const View& body = value->members[0].value;
   Response response;
   if (tag == "error") {
-    if (body.type != Json::Type::kObject) {
+    if (body.type != View::Type::kObject) {
       return ShapeError("\"error\" body must be an object");
     }
-    std::vector<bool> seen(body.object.size(), false);
-    QLEARN_ASSIGN_OR_RETURN(const std::string code_name,
-                            ToString(Find(body, "code", &seen), "code"));
-    QLEARN_ASSIGN_OR_RETURN(const std::string message,
-                            ToString(Find(body, "message", &seen), "message"));
+    uint64_t seen = 0;
+    QLEARN_ASSIGN_OR_RETURN(const std::string_view code_name,
+                            ToStringView(Find(body, "code", &seen), "code"));
+    QLEARN_ASSIGN_OR_RETURN(
+        const std::string_view message,
+        ToStringView(Find(body, "message", &seen), "message"));
     QLEARN_RETURN_IF_ERROR(CheckAllKeysKnown(body, seen, "error body"));
     common::StatusCode code;
-    if (!common::StatusCodeFromName(code_name, &code) ||
+    if (!common::StatusCodeFromName(std::string(code_name), &code) ||
         code == common::StatusCode::kOk) {
-      return ShapeError("unknown error code \"" + code_name + "\"");
+      return ShapeError("unknown error code \"" + std::string(code_name) +
+                        "\"");
     }
-    response.status = common::Status(code, message);
+    response.status = common::Status(code, std::string(message));
     return response;
   }
   if (tag != "ok") {
-    return ShapeError("expected \"ok\" or \"error\", got \"" + tag + "\"");
+    return ShapeError("expected \"ok\" or \"error\", got \"" +
+                      std::string(tag) + "\"");
   }
-  QLEARN_RETURN_IF_ERROR(ParseOkBody(op, body, &response));
+  QLEARN_RETURN_IF_ERROR(ParseOkBody(op, body, &arena, &response));
   return response;
 }
 
 std::string HandleFrame(service::SessionService* service,
                         const std::string& request_json) {
+  Arena arena;
   std::string out;
-  auto request_or = ParseRequest(request_json);
-  if (!request_or.ok()) {
-    AppendErrorFrame(request_or.status(), &out);
-    return out;
-  }
-  const Request& request = request_or.value();
-  switch (request.op) {
-    case Request::Op::kOpen: {
-      service::OpenOptions options;
-      options.seed = request.seed;
-      options.budget.max_questions = request.max_questions;
-      options.budget.max_pending =
-          static_cast<size_t>(request.max_pending);
-      options.budget.max_wall_seconds =
-          static_cast<double>(request.max_wall_micros) / 1e6;
-      options.id = request.id;
-      auto id = service->Open(request.scenario, options);
-      if (!id.ok()) {
-        AppendErrorFrame(id.status(), &out);
-      } else {
-        AppendOkOpen(id.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kAsk: {
-      auto questions = service->Ask(request.id,
-                                    static_cast<size_t>(request.k));
-      if (!questions.ok()) {
-        AppendErrorFrame(questions.status(), &out);
-      } else {
-        AppendOkAsk(questions.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kTell: {
-      const common::Status status = service->Tell(request.id, request.labels);
-      if (!status.ok()) {
-        AppendErrorFrame(status, &out);
-      } else {
-        AppendOkTell(&out);
-      }
-      return out;
-    }
-    case Request::Op::kOracle: {
-      auto labels = service->OracleLabels(request.id);
-      if (!labels.ok()) {
-        AppendErrorFrame(labels.status(), &out);
-      } else {
-        AppendOkOracle(labels.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kStatus: {
-      auto status = service->Status(request.id);
-      if (!status.ok()) {
-        AppendErrorFrame(status.status(), &out);
-      } else {
-        AppendOkStatus(status.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kClose: {
-      auto closed = service->Close(request.id);
-      if (!closed.ok()) {
-        AppendErrorFrame(closed.status(), &out);
-      } else {
-        AppendOkClose(closed.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kCounters:
-      AppendOkCounters(service->Counters(), service->OpenCount(),
-                       service->ResidentCount(), service->ParkedCount(),
-                       &out);
-      return out;
-    case Request::Op::kSessions:
-      AppendOkSessions(service->ListOpen(), &out);
-      return out;
-    case Request::Op::kExport: {
-      auto exported = service->ExportSession(request.id);
-      if (!exported.ok()) {
-        AppendErrorFrame(exported.status(), &out);
-      } else {
-        AppendOkExport(exported.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kImport: {
-      const common::Status status =
-          service->ImportSession(request.id, request.scenario, request.image);
-      if (!status.ok()) {
-        AppendErrorFrame(status, &out);
-      } else {
-        AppendOkTell(&out);  // {"ok":{}}
-      }
-      return out;
-    }
-  }
-  AppendErrorFrame(common::Status::Internal("unhandled op in HandleFrame"),
-                   &out);
+  HandleFrameInto(service, request_json, &arena, &out);
   return out;
 }
 
-common::Result<RequestView> ParseRequestView(std::string_view text,
-                                             service::json::Arena* arena) {
-  using service::json::CheckAllKeysKnown;
-  using service::json::Find;
-  using service::json::ToStringView;
-  using service::json::ToUInt;
-  using View = service::json::View;
+namespace {
 
+/// A decoded request frame: field strings are views into the frame buffer
+/// (or the arena), labels are an arena-allocated span. Valid while both
+/// the frame bytes and the arena live. Open's knob fields default like
+/// service::OpenOptions, so a request may omit them.
+struct RequestView {
+  Request::Op op = Request::Op::kCounters;
+
+  // kOpen/kImport
+  std::string_view scenario;
+
+  // kOpen
+  uint64_t seed = session::SessionDefaults::kSeed;
+  uint64_t max_questions = service::SessionBudget{}.max_questions;
+  uint64_t max_pending = service::SessionBudget{}.max_pending;
+  uint64_t max_wall_micros = 0;
+
+  // kAsk/kTell/kOracle/kStatus/kClose/kExport/kImport; optional for kOpen
+  std::string_view id;
+
+  // kAsk
+  uint64_t k = 1;
+
+  // kTell
+  const bool* labels = nullptr;
+  uint32_t label_count = 0;
+
+  // kImport: raw image bytes, hex-decoded into the arena.
+  std::string_view image;
+};
+
+/// Strict parse of a request frame into arena storage; unknown ops,
+/// unknown keys, and shape violations are ParseError. With a recycled
+/// arena a steady-state parse performs zero heap allocations.
+Result<RequestView> ParseRequestView(std::string_view text, Arena* arena) {
   QLEARN_ASSIGN_OR_RETURN(const View* value,
                           service::json::ParseInto(text, arena));
-  if (value->type != Json::Type::kObject) {
+  if (value->type != View::Type::kObject) {
     return ShapeError("request must be an object");
   }
   uint64_t seen = 0;
   QLEARN_ASSIGN_OR_RETURN(const std::string_view op,
                           ToStringView(Find(*value, "op", &seen), "op"));
-  // Mirrors ParseRequest clause for clause — same accepted shapes, same
-  // error messages (the arena-vs-heap parity property test holds both
-  // parsers to that).
   RequestView request;
   if (op == "open") {
     request.op = Request::Op::kOpen;
@@ -794,20 +641,9 @@ common::Result<RequestView> ParseRequestView(std::string_view text,
     request.op = Request::Op::kTell;
     QLEARN_ASSIGN_OR_RETURN(request.id,
                             ToStringView(Find(*value, "id", &seen), "id"));
-    const View* labels = Find(*value, "labels", &seen);
-    if (labels == nullptr || labels->type != Json::Type::kArray) {
-      return ShapeError("missing or non-array \"labels\"");
-    }
-    bool* decoded = static_cast<bool*>(
-        arena->Allocate(labels->element_count * sizeof(bool), alignof(bool)));
-    for (uint32_t i = 0; i < labels->element_count; ++i) {
-      if (labels->elements[i].type != Json::Type::kBool) {
-        return ShapeError("non-boolean entry in \"labels\"");
-      }
-      decoded[i] = labels->elements[i].bool_value;
-    }
-    request.labels = decoded;
-    request.label_count = labels->element_count;
+    QLEARN_RETURN_IF_ERROR(LabelsFromJson(Find(*value, "labels", &seen),
+                                          arena, &request.labels,
+                                          &request.label_count));
   } else if (op == "oracle" || op == "status" || op == "close" ||
              op == "export") {
     request.op = op == "oracle"   ? Request::Op::kOracle
@@ -823,11 +659,8 @@ common::Result<RequestView> ParseRequestView(std::string_view text,
     QLEARN_ASSIGN_OR_RETURN(
         request.scenario,
         ToStringView(Find(*value, "scenario", &seen), "scenario"));
-    QLEARN_ASSIGN_OR_RETURN(
-        const std::string_view hex,
-        ToStringView(Find(*value, "image", &seen), "image"));
     QLEARN_ASSIGN_OR_RETURN(request.image,
-                            HexDecodeIntoArena(hex, "image", arena));
+                            ImageFromJson(Find(*value, "image", &seen), arena));
   } else if (op == "counters") {
     request.op = Request::Op::kCounters;
   } else if (op == "sessions") {
@@ -839,6 +672,8 @@ common::Result<RequestView> ParseRequestView(std::string_view text,
       *value, seen, "\"" + std::string(op) + "\" request"));
   return request;
 }
+
+}  // namespace
 
 void HandleFrameInto(service::SessionService* service,
                      std::string_view request_json,
@@ -858,61 +693,28 @@ void HandleFrameInto(service::SessionService* service,
       options.budget.max_wall_seconds =
           static_cast<double>(request.max_wall_micros) / 1e6;
       options.id = std::string(request.id);
-      auto id = service->Open(std::string(request.scenario), options);
-      if (!id.ok()) {
-        AppendErrorFrame(id.status(), out);
-      } else {
-        AppendOkOpen(id.value(), out);
-      }
+      AppendResult(service->Open(std::string(request.scenario), options),
+                   AppendOkOpen, out);
       return;
     }
-    case Request::Op::kAsk: {
-      auto questions =
-          service->Ask(request.id, static_cast<size_t>(request.k));
-      if (!questions.ok()) {
-        AppendErrorFrame(questions.status(), out);
-      } else {
-        AppendOkAsk(questions.value(), out);
-      }
+    case Request::Op::kAsk:
+      AppendResult(service->Ask(request.id, static_cast<size_t>(request.k)),
+                   AppendOkAsk, out);
       return;
-    }
-    case Request::Op::kTell: {
-      const common::Status status =
-          service->Tell(request.id, request.labels, request.label_count);
-      if (!status.ok()) {
-        AppendErrorFrame(status, out);
-      } else {
-        AppendOkTell(out);
-      }
+    case Request::Op::kTell:
+      AppendEmptyResult(
+          service->Tell(request.id, request.labels, request.label_count),
+          out);
       return;
-    }
-    case Request::Op::kOracle: {
-      auto labels = service->OracleLabels(request.id);
-      if (!labels.ok()) {
-        AppendErrorFrame(labels.status(), out);
-      } else {
-        AppendOkOracle(labels.value(), out);
-      }
+    case Request::Op::kOracle:
+      AppendResult(service->OracleLabels(request.id), AppendOkOracle, out);
       return;
-    }
-    case Request::Op::kStatus: {
-      auto status = service->Status(request.id);
-      if (!status.ok()) {
-        AppendErrorFrame(status.status(), out);
-      } else {
-        AppendOkStatus(status.value(), out);
-      }
+    case Request::Op::kStatus:
+      AppendResult(service->Status(request.id), AppendOkStatus, out);
       return;
-    }
-    case Request::Op::kClose: {
-      auto closed = service->Close(request.id);
-      if (!closed.ok()) {
-        AppendErrorFrame(closed.status(), out);
-      } else {
-        AppendOkClose(closed.value(), out);
-      }
+    case Request::Op::kClose:
+      AppendResult(service->Close(request.id), AppendOkClose, out);
       return;
-    }
     case Request::Op::kCounters:
       AppendOkCounters(service->Counters(), service->OpenCount(),
                        service->ResidentCount(), service->ParkedCount(), out);
@@ -920,25 +722,15 @@ void HandleFrameInto(service::SessionService* service,
     case Request::Op::kSessions:
       AppendOkSessions(service->ListOpen(), out);
       return;
-    case Request::Op::kExport: {
-      auto exported = service->ExportSession(request.id);
-      if (!exported.ok()) {
-        AppendErrorFrame(exported.status(), out);
-      } else {
-        AppendOkExport(exported.value(), out);
-      }
+    case Request::Op::kExport:
+      AppendResult(service->ExportSession(request.id), AppendOkExport, out);
       return;
-    }
-    case Request::Op::kImport: {
-      const common::Status status = service->ImportSession(
-          request.id, std::string(request.scenario), request.image);
-      if (!status.ok()) {
-        AppendErrorFrame(status, out);
-      } else {
-        AppendOkTell(out);  // {"ok":{}}
-      }
+    case Request::Op::kImport:
+      AppendEmptyResult(service->ImportSession(request.id,
+                                               std::string(request.scenario),
+                                               request.image),
+                        out);
       return;
-    }
   }
   AppendErrorFrame(common::Status::Internal("unhandled op in HandleFrame"),
                    out);
@@ -946,11 +738,9 @@ void HandleFrameInto(service::SessionService* service,
 
 common::Result<RequestPeek> PeekRequest(std::string_view frame,
                                         service::json::Arena* arena) {
-  using service::json::ToStringView;
-  using View = service::json::View;
   QLEARN_ASSIGN_OR_RETURN(const View* value,
                           service::json::ParseInto(frame, arena));
-  if (value->type != Json::Type::kObject) {
+  if (value->type != View::Type::kObject) {
     return ShapeError("request must be an object");
   }
   uint64_t seen = 0;
@@ -966,7 +756,7 @@ common::Result<RequestPeek> PeekRequest(std::string_view frame,
   return peek;
 }
 
-void AppendOpenWithId(const service::json::View& root, std::string_view id,
+void AppendOpenWithId(const View& root, std::string_view id,
                       std::string* out) {
   out->push_back('{');
   for (uint32_t i = 0; i < root.member_count; ++i) {
@@ -1027,6 +817,21 @@ common::Result<std::string> MergeCountersFrames(
   std::string out;
   AppendOkCounters(total, open_sessions, resident_sessions, parked_sessions,
                    &out);
+  return out;
+}
+
+common::Result<std::string> MergeSessionsFrames(
+    const std::vector<std::string>& frames) {
+  std::vector<std::string> ids;
+  for (const std::string& frame : frames) {
+    QLEARN_ASSIGN_OR_RETURN(Response response,
+                            ParseResponse(Request::Op::kSessions, frame));
+    if (!response.status.ok()) return frame;  // error frame wins, verbatim
+    for (std::string& id : response.session_ids) ids.push_back(std::move(id));
+  }
+  std::sort(ids.begin(), ids.end());
+  std::string out;
+  AppendOkSessions(ids, &out);
   return out;
 }
 

@@ -117,10 +117,6 @@ struct Response {
 /// Canonical serialization of a request (fixed key order, no whitespace).
 std::string Serialize(const Request& request);
 
-/// Strict parse of a request frame; unknown ops, unknown keys, and
-/// shape violations are ParseError.
-common::Result<Request> ParseRequest(const std::string& text);
-
 /// The error-frame payload for a failed operation.
 std::string SerializeError(const common::Status& status);
 
@@ -131,56 +127,17 @@ common::Result<Response> ParseResponse(Request::Op op,
                                        const std::string& text);
 
 /// Executes one request frame against `service` and returns the response
-/// frame payload. Malformed request JSON yields an error frame (never
-/// throws, never asserts) — this is the whole server-side dispatch, kept
-/// transport-free so tests can drive it without sockets.
-///
-/// This is the heap reference path; the server's reactors run
-/// HandleFrameInto below, which produces byte-identical frames (pinned by
-/// tests/wire_property_test.cc and the golden replay) without the per-node
-/// tree or per-frame result strings.
+/// frame payload: HandleFrameInto (below) with a fresh arena and buffer,
+/// for callers off the hot path (tests, tools).
 std::string HandleFrame(service::SessionService* service,
                         const std::string& request_json);
 
-/// Arena-mode decoded request: field strings are views into the frame
-/// buffer (or the arena), labels are an arena-allocated span. Valid while
-/// both the frame bytes and the arena live.
-struct RequestView {
-  Request::Op op = Request::Op::kCounters;
-
-  // kOpen/kImport
-  std::string_view scenario;
-
-  // kOpen
-  uint64_t seed = session::SessionDefaults::kSeed;
-  uint64_t max_questions = service::SessionBudget{}.max_questions;
-  uint64_t max_pending = service::SessionBudget{}.max_pending;
-  uint64_t max_wall_micros = 0;
-
-  // kAsk/kTell/kOracle/kStatus/kClose/kExport/kImport; optional for kOpen
-  std::string_view id;
-
-  // kAsk
-  uint64_t k = 1;
-
-  // kTell
-  const bool* labels = nullptr;
-  uint32_t label_count = 0;
-
-  // kImport: raw image bytes, hex-decoded into the arena.
-  std::string_view image;
-};
-
-/// Strict parse of a request frame into arena storage: accepts and rejects
-/// exactly what ParseRequest does, with the same error messages. With a
-/// recycled arena a steady-state parse performs zero heap allocations.
-common::Result<RequestView> ParseRequestView(std::string_view text,
-                                             service::json::Arena* arena);
-
-/// Arena-mode HandleFrame: parses via `arena` (caller Resets it between
-/// frames) and appends the response frame to `*out` (a recycled buffer the
-/// caller owns). The appended bytes are exactly what HandleFrame returns
-/// for the same input — this is the request hot path of net::Server.
+/// Executes one request frame against `service`: parses via `arena`
+/// (caller Resets it between frames) and appends the response frame to
+/// `*out` (a recycled buffer the caller owns). Malformed request JSON
+/// yields an error frame (never throws, never asserts). This is the whole
+/// server-side dispatch and the request hot path of net::Server, kept
+/// transport-free so tests can drive it without sockets.
 void HandleFrameInto(service::SessionService* service,
                      std::string_view request_json,
                      service::json::Arena* arena, std::string* out);
@@ -197,10 +154,9 @@ struct RequestPeek {
   const service::json::View* root = nullptr;
 };
 
-/// Arena view-mode peek of `frame` (no heap tree, no copies): object
-/// shape, string "op", and string "id" when present. Shape violations use
-/// the protocol's error wording so router-answered errors read like
-/// backend-answered ones.
+/// Arena-mode peek of `frame` (no copies): object shape, string "op", and
+/// string "id" when present. Shape violations use the protocol's error
+/// wording so router-answered errors read like backend-answered ones.
 common::Result<RequestPeek> PeekRequest(std::string_view frame,
                                         service::json::Arena* arena);
 
@@ -215,6 +171,12 @@ void AppendOpenWithId(const service::json::View& root, std::string_view id,
 /// re-serialized canonically. Any error frame among the inputs wins and is
 /// returned verbatim; a Result error means an input frame was malformed.
 common::Result<std::string> MergeCountersFrames(
+    const std::vector<std::string>& frames);
+
+/// Merges N `sessions` response frames into one: the id lists concatenate
+/// and sort (each backend lists its own; the union is the fleet's). Error
+/// handling as in MergeCountersFrames.
+common::Result<std::string> MergeSessionsFrames(
     const std::vector<std::string>& frames);
 
 }  // namespace net

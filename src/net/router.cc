@@ -90,28 +90,6 @@ std::string UnknownOpError(std::string_view op) {
       Status::ParseError("protocol: unknown op \"" + std::string(op) + "\""));
 }
 
-/// Merges `sessions` fan-out parts: ids concatenate and sort (each backend
-/// lists its own; the union is the fleet's). Any error frame wins.
-std::string MergeSessionsFrames(const std::vector<std::string>& parts) {
-  std::vector<std::string> ids;
-  for (const std::string& part : parts) {
-    auto response = ParseResponse(Request::Op::kSessions, part);
-    if (!response.ok()) return SerializeError(response.status());
-    if (!response.value().status.ok()) return part;
-    for (std::string& id : response.value().session_ids) {
-      ids.push_back(std::move(id));
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  std::string out = "{\"ok\":{\"ids\":[";
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    service::json::AppendEscaped(ids[i], &out);
-  }
-  out += "]}}";
-  return out;
-}
-
 /// Folds the router-only counters (the reactor keeps the rest).
 void AddStats(const RouterStats& in, RouterStats* out) {
   out->frames_forwarded += in.frames_forwarded;
@@ -399,13 +377,11 @@ struct Router::Impl : Reactor {
         } else {
           slot.parts.push_back(std::move(payload));
           if (--slot.awaiting == 0) {
-            if (slot.kind == Pending::Kind::kCounters) {
-              auto merged = MergeCountersFrames(slot.parts);
-              slot.body = merged.ok() ? std::move(merged.value())
-                                      : SerializeError(merged.status());
-            } else {
-              slot.body = MergeSessionsFrames(slot.parts);
-            }
+            auto merged = slot.kind == Pending::Kind::kCounters
+                              ? MergeCountersFrames(slot.parts)
+                              : MergeSessionsFrames(slot.parts);
+            slot.body = merged.ok() ? std::move(merged.value())
+                                    : SerializeError(merged.status());
             slot.parts.clear();
             slot.ready = true;
           }

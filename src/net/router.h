@@ -6,9 +6,9 @@
 // connections to every backend, flushed through the same output queue.
 //
 // Clients speak the ordinary framed-TCP protocol to the router. For each
-// request frame the router *peeks* the session id with the arena view-mode
-// parser (net::PeekRequest — no heap tree, no copies, no full validation),
-// picks the owning backend by jump consistent hash over the shard map
+// request frame the router *peeks* the session id with the arena parser
+// (net::PeekRequest — no copies, no full validation), picks the owning
+// backend by jump consistent hash over the shard map
 // (net/shard_map.h), and forwards the frame bytes verbatim. Responses come
 // back as opaque bytes — the router never re-serializes a payload it
 // routed, which is what keeps golden replays byte-identical through it.

@@ -1,5 +1,6 @@
 #include "service/wire.h"
 
+#include <string_view>
 #include <utility>
 
 #include "service/json.h"
@@ -16,9 +17,9 @@ using json::AppendEscaped;
 using json::AppendUInts;
 using json::CheckAllKeysKnown;
 using json::Find;
-using json::ToString;
+using json::ToStringView;
 using json::ToUInt;
-using json::Value;
+using json::View;
 
 // ---------------------------------------------------------------------------
 // Canonical JSON writing. Key order is fixed by the Serialize functions and
@@ -57,7 +58,7 @@ void AppendStats(const session::SessionStats& stats, std::string* out) {
 }
 
 // ---------------------------------------------------------------------------
-// json::Value -> payload struct conversion, strict about shapes and keys.
+// json::View -> payload struct conversion, strict about shapes and keys.
 
 Status ShapeError(const std::string& message) {
   return Status::ParseError("wire: " + message);
@@ -65,49 +66,50 @@ Status ShapeError(const std::string& message) {
 
 }  // namespace
 
-Result<QuestionPayload> QuestionFromJson(const Value& value) {
-  if (value.type != Value::Type::kObject) {
+Result<QuestionPayload> QuestionFromJson(const View& value) {
+  if (value.type != View::Type::kObject) {
     return ShapeError("question payload must be an object");
   }
-  std::vector<bool> seen(value.object.size(), false);
+  uint64_t seen = 0;
   QuestionPayload payload;
   QLEARN_ASSIGN_OR_RETURN(payload.kind,
-                          ToString(Find(value, "kind", &seen), "kind"));
-  const Value* ids = Find(value, "ids", &seen);
-  if (ids == nullptr || ids->type != Value::Type::kArray) {
+                          ToStringView(Find(value, "kind", &seen), "kind"));
+  const View* ids = Find(value, "ids", &seen);
+  if (ids == nullptr || ids->type != View::Type::kArray) {
     return ShapeError("missing or non-array \"ids\"");
   }
-  for (const Value& id : ids->array) {
-    if (id.type != Value::Type::kUInt) {
+  payload.ids.reserve(ids->element_count);
+  for (uint32_t i = 0; i < ids->element_count; ++i) {
+    if (ids->elements[i].type != View::Type::kUInt) {
       return ShapeError("non-integer entry in \"ids\"");
     }
-    payload.ids.push_back(id.uint_value);
+    payload.ids.push_back(ids->elements[i].uint_value);
   }
   QLEARN_ASSIGN_OR_RETURN(payload.text,
-                          ToString(Find(value, "text", &seen), "text"));
+                          ToStringView(Find(value, "text", &seen), "text"));
   QLEARN_RETURN_IF_ERROR(CheckAllKeysKnown(value, seen, "question payload"));
   return payload;
 }
 
-Result<HypothesisPayload> HypothesisFromJson(const Value& value) {
-  if (value.type != Value::Type::kObject) {
+Result<HypothesisPayload> HypothesisFromJson(const View& value) {
+  if (value.type != View::Type::kObject) {
     return ShapeError("hypothesis payload must be an object");
   }
-  std::vector<bool> seen(value.object.size(), false);
+  uint64_t seen = 0;
   HypothesisPayload payload;
   QLEARN_ASSIGN_OR_RETURN(payload.kind,
-                          ToString(Find(value, "kind", &seen), "kind"));
+                          ToStringView(Find(value, "kind", &seen), "kind"));
   QLEARN_ASSIGN_OR_RETURN(payload.text,
-                          ToString(Find(value, "text", &seen), "text"));
+                          ToStringView(Find(value, "text", &seen), "text"));
   QLEARN_RETURN_IF_ERROR(CheckAllKeysKnown(value, seen, "hypothesis payload"));
   return payload;
 }
 
-Result<session::SessionStats> StatsFromJson(const Value& value) {
-  if (value.type != Value::Type::kObject) {
+Result<session::SessionStats> StatsFromJson(const View& value) {
+  if (value.type != View::Type::kObject) {
     return ShapeError("stats must be an object");
   }
-  std::vector<bool> seen(value.object.size(), false);
+  uint64_t seen = 0;
   session::SessionStats stats;
   QLEARN_ASSIGN_OR_RETURN(
       stats.questions, ToUInt(Find(value, "questions", &seen), "questions"));
@@ -125,18 +127,19 @@ Result<session::SessionStats> StatsFromJson(const Value& value) {
 
 namespace {
 
-Result<TranscriptEvent> EventFromJson(const Value& value) {
-  if (value.type != Value::Type::kObject) {
+Result<TranscriptEvent> EventFromJson(const View& value) {
+  if (value.type != View::Type::kObject) {
     return ShapeError("transcript event must be an object");
   }
-  std::vector<bool> seen(value.object.size(), false);
+  uint64_t seen = 0;
   TranscriptEvent event;
-  QLEARN_ASSIGN_OR_RETURN(const std::string tag,
-                          ToString(Find(value, "event", &seen), "event"));
+  QLEARN_ASSIGN_OR_RETURN(const std::string_view tag,
+                          ToStringView(Find(value, "event", &seen), "event"));
   if (tag == "open") {
     event.kind = TranscriptEvent::Kind::kOpen;
     QLEARN_ASSIGN_OR_RETURN(
-        event.scenario, ToString(Find(value, "scenario", &seen), "scenario"));
+        event.scenario,
+        ToStringView(Find(value, "scenario", &seen), "scenario"));
     QLEARN_ASSIGN_OR_RETURN(event.seed,
                             ToUInt(Find(value, "seed", &seen), "seed"));
     QLEARN_ASSIGN_OR_RETURN(
@@ -146,40 +149,40 @@ Result<TranscriptEvent> EventFromJson(const Value& value) {
     event.kind = TranscriptEvent::Kind::kAsk;
     QLEARN_ASSIGN_OR_RETURN(
         event.requested, ToUInt(Find(value, "requested", &seen), "requested"));
-    const Value* questions = Find(value, "questions", &seen);
-    if (questions == nullptr || questions->type != Value::Type::kArray) {
+    const View* questions = Find(value, "questions", &seen);
+    if (questions == nullptr || questions->type != View::Type::kArray) {
       return ShapeError("missing or non-array \"questions\"");
     }
-    for (const Value& question : questions->array) {
+    for (uint32_t i = 0; i < questions->element_count; ++i) {
       QLEARN_ASSIGN_OR_RETURN(QuestionPayload payload,
-                              QuestionFromJson(question));
+                              QuestionFromJson(questions->elements[i]));
       event.questions.push_back(std::move(payload));
     }
   } else if (tag == "tell") {
     event.kind = TranscriptEvent::Kind::kTell;
-    const Value* labels = Find(value, "labels", &seen);
-    if (labels == nullptr || labels->type != Value::Type::kArray) {
+    const View* labels = Find(value, "labels", &seen);
+    if (labels == nullptr || labels->type != View::Type::kArray) {
       return ShapeError("missing or non-array \"labels\"");
     }
-    for (const Value& label : labels->array) {
-      if (label.type != Value::Type::kBool) {
+    for (uint32_t i = 0; i < labels->element_count; ++i) {
+      if (labels->elements[i].type != View::Type::kBool) {
         return ShapeError("non-boolean entry in \"labels\"");
       }
-      event.labels.push_back(label.bool_value);
+      event.labels.push_back(labels->elements[i].bool_value);
     }
   } else if (tag == "close") {
     event.kind = TranscriptEvent::Kind::kClose;
-    const Value* hypothesis = Find(value, "hypothesis", &seen);
+    const View* hypothesis = Find(value, "hypothesis", &seen);
     if (hypothesis == nullptr) return ShapeError("missing \"hypothesis\"");
     QLEARN_ASSIGN_OR_RETURN(event.hypothesis, HypothesisFromJson(*hypothesis));
-    const Value* stats = Find(value, "stats", &seen);
+    const View* stats = Find(value, "stats", &seen);
     if (stats == nullptr) return ShapeError("missing \"stats\"");
     QLEARN_ASSIGN_OR_RETURN(event.stats, StatsFromJson(*stats));
   } else {
-    return ShapeError("unknown event tag \"" + tag + "\"");
+    return ShapeError("unknown event tag \"" + std::string(tag) + "\"");
   }
-  QLEARN_RETURN_IF_ERROR(
-      CheckAllKeysKnown(value, seen, "\"" + tag + "\" event"));
+  QLEARN_RETURN_IF_ERROR(CheckAllKeysKnown(
+      value, seen, "\"" + std::string(tag) + "\" event"));
   return event;
 }
 
@@ -269,36 +272,44 @@ std::string SerializeTranscript(const std::vector<TranscriptEvent>& events) {
 }
 
 common::Result<QuestionPayload> ParseQuestionPayload(const std::string& text) {
-  QLEARN_ASSIGN_OR_RETURN(Value value, json::Parse(text));
-  return QuestionFromJson(value);
+  json::Arena arena;
+  QLEARN_ASSIGN_OR_RETURN(const View* value, json::ParseInto(text, &arena));
+  return QuestionFromJson(*value);
 }
 
 common::Result<HypothesisPayload> ParseHypothesisPayload(
     const std::string& text) {
-  QLEARN_ASSIGN_OR_RETURN(Value value, json::Parse(text));
-  return HypothesisFromJson(value);
+  json::Arena arena;
+  QLEARN_ASSIGN_OR_RETURN(const View* value, json::ParseInto(text, &arena));
+  return HypothesisFromJson(*value);
 }
 
 common::Result<session::SessionStats> ParseStats(const std::string& text) {
-  QLEARN_ASSIGN_OR_RETURN(Value value, json::Parse(text));
-  return StatsFromJson(value);
+  json::Arena arena;
+  QLEARN_ASSIGN_OR_RETURN(const View* value, json::ParseInto(text, &arena));
+  return StatsFromJson(*value);
 }
 
 common::Result<TranscriptEvent> ParseEvent(const std::string& text) {
-  QLEARN_ASSIGN_OR_RETURN(Value value, json::Parse(text));
-  return EventFromJson(value);
+  json::Arena arena;
+  QLEARN_ASSIGN_OR_RETURN(const View* value, json::ParseInto(text, &arena));
+  return EventFromJson(*value);
 }
 
 common::Result<std::vector<TranscriptEvent>> ParseTranscript(
     const std::string& text) {
   std::vector<TranscriptEvent> events;
+  json::Arena arena;
   size_t start = 0;
   while (start <= text.size()) {
     const size_t end = text.find('\n', start);
-    const std::string line =
-        text.substr(start, end == std::string::npos ? end : end - start);
+    const std::string_view line = std::string_view(text).substr(
+        start, end == std::string::npos ? end : end - start);
     if (!line.empty()) {
-      QLEARN_ASSIGN_OR_RETURN(TranscriptEvent event, ParseEvent(line));
+      arena.Reset();
+      QLEARN_ASSIGN_OR_RETURN(const View* value,
+                              json::ParseInto(line, &arena));
+      QLEARN_ASSIGN_OR_RETURN(TranscriptEvent event, EventFromJson(*value));
       events.push_back(std::move(event));
     }
     if (end == std::string::npos) break;

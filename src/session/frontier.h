@@ -242,7 +242,7 @@ class Frontier {
       OwnMemos()[k] = std::move(fresh);
       memo_epoch_[k] = epoch_;
     }
-    return (*memos_)[k];
+    return (*memos_.slots)[k];
   }
 
   /// First-wins greedy selection (see GreedyScoreStrategy for semantics).
@@ -422,31 +422,66 @@ class Frontier {
     memo_epoch_[k] = 0;
     // Shared slots belong to every frontier sharing them: only a private
     // slot is freed.
-    if (Exclusive()) (*memos_)[k].reset();
-  }
-
-  /// True when no other frontier shares the memo slots. The acquire fence
-  /// orders this frontier's writes after the reads of the copies that let
-  /// go of them.
-  bool Exclusive() const {
-    if (memos_.use_count() != 1) return false;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    return true;
+    if (!memos_.IsShared()) (*memos_.slots)[k].reset();
   }
 
   /// The memo slots for writing. A frontier still sharing its source's
   /// slots first takes a private copy of the ones valid in this epoch.
   std::vector<std::optional<Memo>>& OwnMemos() {
-    if (!Exclusive()) {
+    if (memos_.IsShared()) {
       auto own = std::make_shared<std::vector<std::optional<Memo>>>(
-          memos_->size());
+          memos_.slots->size());
       for (size_t k = 0; k < own->size(); ++k) {
-        if (memo_epoch_[k] == epoch_) (*own)[k] = (*memos_)[k];
+        if (memo_epoch_[k] == epoch_) (*own)[k] = (*memos_.slots)[k];
       }
-      memos_ = std::move(own);
+      memos_ = MemoSlots{std::move(own)};
     }
-    return *memos_;
+    return *memos_.slots;
   }
+
+  /// Copy-on-write memo slots. Copying shares the source's slots and marks
+  /// both sides as sharing. The mark is sticky: neither side writes or
+  /// frees a shared slot again, and its first write takes a private copy.
+  /// So a shared slot is only ever read, and no ordering is needed between
+  /// one frontier's reads and another's writes (a use_count() probe would
+  /// need an acquire fence for that). The usual source is a scenario's
+  /// baseline, which outlives its copies and never writes.
+  struct MemoSlots {
+    using Slots = std::vector<std::optional<Memo>>;
+
+    MemoSlots() = default;
+    explicit MemoSlots(std::shared_ptr<Slots> own) : slots(std::move(own)) {}
+    MemoSlots(const MemoSlots& other) : slots(other.slots), shared(true) {
+      other.MarkShared();
+    }
+    MemoSlots(MemoSlots&& other) noexcept
+        : slots(std::move(other.slots)), shared(other.IsShared()) {}
+    MemoSlots& operator=(const MemoSlots& other) {
+      if (this != &other) {
+        other.MarkShared();
+        slots = other.slots;
+        shared = true;
+      }
+      return *this;
+    }
+    MemoSlots& operator=(MemoSlots&& other) noexcept {
+      slots = std::move(other.slots);
+      shared = other.IsShared();
+      return *this;
+    }
+
+    bool IsShared() const { return shared; }
+    /// Stores only on the first copy, so copying a baseline again and
+    /// again leaves its cache line clean for the other sessions' copies.
+    void MarkShared() const {
+      if (!shared) shared = true;
+    }
+
+    std::shared_ptr<Slots> slots = std::make_shared<Slots>();
+    /// Set on both sides by a copy; atomic because concurrent sessions copy
+    /// one baseline at once.
+    mutable std::atomic<bool> shared{false};
+  };
 
 #ifndef NDEBUG
   /// The historical selection loop, verbatim: ascending scan, strictly
@@ -478,11 +513,10 @@ class Frontier {
 
   // Score memoization. Epoch 0 is reserved as "never valid". A copy of the
   // frontier shares the memo slots with its source until either writes
-  // one (copy on write), so a session started from a scenario's baseline
-  // reads the baseline's memos without copying them, and a restore, which
-  // makes every memo stale, never copies them at all.
-  std::shared_ptr<std::vector<std::optional<Memo>>> memos_ =
-      std::make_shared<std::vector<std::optional<Memo>>>();
+  // one (copy on write, MemoSlots), so a session started from a scenario's
+  // baseline reads the baseline's memos without copying them, and a
+  // restore, which makes every memo stale, never copies them at all.
+  MemoSlots memos_;
   std::vector<uint64_t> memo_epoch_;
   uint64_t epoch_ = 1;
 

@@ -115,6 +115,38 @@ TEST(FrontierMemoTest, RecomputesOnlyWhenStale) {
   EXPECT_EQ(failures, 1);
 }
 
+TEST(FrontierMemoTest, CopiesShareMemosUntilEitherSideWrites) {
+  // A copy reads its source's memos without recomputing them; a write on
+  // either side afterwards (a rescore, or a settled candidate's release)
+  // never changes what the other side reads.
+  IntFrontier source = MakeFrontier(3);
+  int recomputes = 0;
+  long offset = 0;
+  auto memo_fn = [&recomputes, &offset](size_t k) -> std::optional<long> {
+    ++recomputes;
+    return static_cast<long>(k) + offset;
+  };
+  ASSERT_EQ(source.MemoOf(0, memo_fn), std::optional<long>(0));
+  ASSERT_EQ(source.MemoOf(1, memo_fn), std::optional<long>(1));
+  IntFrontier copy = source;
+  EXPECT_EQ(copy.MemoOf(0, memo_fn), std::optional<long>(0));
+  EXPECT_EQ(recomputes, 2);  // served from the shared slots
+
+  offset = 100;
+  source.Invalidate(0);
+  EXPECT_EQ(source.MemoOf(0, memo_fn), std::optional<long>(100));
+  source.MarkForced(1, true);
+  EXPECT_EQ(recomputes, 3);
+  EXPECT_EQ(copy.MemoOf(0, memo_fn), std::optional<long>(0));
+  EXPECT_EQ(copy.MemoOf(1, memo_fn), std::optional<long>(1));
+  EXPECT_EQ(recomputes, 3);
+
+  copy.Invalidate(1);
+  EXPECT_EQ(copy.MemoOf(1, memo_fn), std::optional<long>(101));
+  EXPECT_EQ(source.MemoOf(0, memo_fn), std::optional<long>(100));
+  EXPECT_EQ(recomputes, 4);
+}
+
 TEST(FrontierSelectTest, GreedyPicksBestScoreFirstWins) {
   IntFrontier f = MakeFrontier(5);
   const std::vector<long> scores = {3, 7, 7, 1, 6};

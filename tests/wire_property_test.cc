@@ -3,16 +3,17 @@
 // generated payloads for all four item types, random transcript events of
 // every kind, whole transcripts, and rejection of malformed input.
 //
-// Also pins the arena parser (json::ParseInto) to the heap parser
-// (json::Parse): over the same random and mutated inputs both must agree
-// on accept/reject, report byte-identical error messages, and — for every
-// accepted canonical document — AppendView must reproduce the input bytes.
-// The server's hot path runs the arena parser, so any drift between the
-// two is a wire-visible bug.
+// Also pins the JSON parser (json::ParseInto) itself: AppendView
+// reproduces every canonical document byte for byte, mutated documents are
+// either rejected with a positioned ParseError or accepted as a fixed point
+// of AppendView, a malformed corpus is rejected with exact error strings,
+// and escapes decode to pinned bytes. The server's error frames carry these
+// messages, so any drift is a wire-visible change.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -178,24 +179,28 @@ TEST_P(WireRoundTrip, WholeTranscripts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireRoundTrip, ::testing::Range(0, 20));
 
-/// Heap and arena parses of `text` must agree: same verdict, identical
-/// error message on rejection, and on acceptance the arena view serializes
-/// back (canonical inputs reproduce their bytes; the round trip is checked
-/// by the callers that know the input is canonical).
-void ExpectParserParity(const std::string& text) {
-  auto heap = json::Parse(text);
+/// Whatever ParseInto says about `text`: a rejection is a ParseError
+/// reading "json: ... at offset N" with N within the input, and an accepted
+/// document serializes to a fixed point of AppendView (re-parsing its
+/// serialization reproduces it).
+void ExpectPositionedErrorOrFixedPoint(const std::string& text) {
   json::Arena arena;
   auto view = json::ParseInto(text, &arena);
-  ASSERT_EQ(heap.ok(), view.ok())
-      << "parsers disagree on: " << text << "\nheap: "
-      << (heap.ok() ? "ok" : heap.status().ToString()) << "\narena: "
-      << (view.ok() ? "ok" : view.status().ToString());
-  if (!heap.ok()) {
-    EXPECT_EQ(heap.status().ToString(), view.status().ToString()) << text;
+  if (!view.ok()) {
+    EXPECT_EQ(view.status().code(), common::StatusCode::kParseError) << text;
+    const std::string& message = view.status().message();
+    const std::string kPrefix = "json: ";
+    const std::string kOffset = " at offset ";
+    ASSERT_EQ(message.rfind(kPrefix, 0), 0u) << message;
+    const size_t at = message.rfind(kOffset);
+    ASSERT_NE(at, std::string::npos) << message;
+    const std::string digits = message.substr(at + kOffset.size());
+    ASSERT_FALSE(digits.empty()) << message;
+    ASSERT_EQ(digits.find_first_not_of("0123456789"), std::string::npos)
+        << message;
+    EXPECT_LE(std::stoull(digits), text.size()) << message;
     return;
   }
-  // Accepted: the view must serialize, and re-parsing its serialization
-  // must be a fixed point (AppendView of a canonical document is itself).
   std::string serialized;
   json::AppendView(*view.value(), &serialized);
   json::Arena second_arena;
@@ -206,9 +211,9 @@ void ExpectParserParity(const std::string& text) {
   EXPECT_EQ(again, serialized) << text;
 }
 
-class ArenaParity : public ::testing::TestWithParam<int> {};
+class JsonParse : public ::testing::TestWithParam<int> {};
 
-TEST_P(ArenaParity, CanonicalPayloadsOfAllFourItemTypes) {
+TEST_P(JsonParse, CanonicalPayloadsOfAllFourItemTypes) {
   common::Rng rng(GetParam() * 15013 + 7);
   json::Arena arena;
   for (int i = 0; i < 50; ++i) {
@@ -218,11 +223,11 @@ TEST_P(ArenaParity, CanonicalPayloadsOfAllFourItemTypes) {
     ASSERT_TRUE(view.ok()) << s << ": " << view.status().ToString();
     std::string serialized;
     json::AppendView(*view.value(), &serialized);
-    EXPECT_EQ(serialized, s);  // byte-identical to the heap writer
+    EXPECT_EQ(serialized, s);  // byte-identical to the wire writer
   }
 }
 
-TEST_P(ArenaParity, CanonicalEventsAndStats) {
+TEST_P(JsonParse, CanonicalEventsAndStats) {
   common::Rng rng(GetParam() * 27791 + 13);
   json::Arena arena;
   for (int i = 0; i < 40; ++i) {
@@ -236,12 +241,10 @@ TEST_P(ArenaParity, CanonicalEventsAndStats) {
   }
 }
 
-TEST_P(ArenaParity, MutatedInputsRejectIdentically) {
+TEST_P(JsonParse, MutatedInputsAreRejectedAtAnOffsetOrRoundTrip) {
   common::Rng rng(GetParam() * 9973 + 29);
   // Start from valid documents and corrupt them: truncation, byte flips,
-  // injected junk. Whatever the verdict, both parsers must say the same
-  // thing, byte for byte (the server's error frames come from these
-  // messages).
+  // injected junk.
   for (int i = 0; i < 60; ++i) {
     std::string s = Serialize(RandomEvent(&rng));
     switch (rng.Index(4)) {
@@ -262,61 +265,138 @@ TEST_P(ArenaParity, MutatedInputsRejectIdentically) {
                  static_cast<char>(' ' + rng.Uniform(95)));
         break;
     }
-    ExpectParserParity(s);
+    ExpectPositionedErrorOrFixedPoint(s);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ArenaParity, ::testing::Range(0, 20));
+INSTANTIATE_TEST_SUITE_P(Seeds, JsonParse, ::testing::Range(0, 20));
 
-TEST(ArenaParityTest, MalformedCorpusRejectsIdentically) {
-  const char* kMalformed[] = {
-      "",
-      "{",
-      "}",
-      "nul",
-      "truely",
-      "\"unterminated",
-      "\"bad \\q escape\"",
-      "{\"a\":1,}",
-      "{\"a\" 1}",
-      "[1,]",
-      "[1 2]",
-      "{\"a\":01}",
-      "{\"a\":-1}",
-      "{\"a\":1.5}",
-      "{\"a\":99999999999999999999999}",
-      "{\"a\":1} trailing",
-      "  {\"a\":1}",
-      "{\"a\":\"\x01\"}",  // raw control character in a string
-  };
-  for (const char* text : kMalformed) {
-    ExpectParserParity(text);
-  }
-}
-
-TEST(ArenaParityTest, EscapedStringsDecodeIdentically) {
-  // The arena parser has a zero-copy fast path for escape-free strings and
-  // a decode path for escaped ones; both must match the heap parser's
-  // decoding exactly, pinned here through the canonical writer.
-  const char* kDocuments[] = {
-      "{\"k\":\"plain\"}",
-      "{\"k\":\"quote \\\" backslash \\\\\"}",
-      "{\"k\":\"\\b\\f\\n\\r\\t\"}",
-      "{\"k\":\"\\u0001\\u001f\"}",
-      "{\"k\":\"\"}",
-      "{\"\\n\":\"escaped key\"}",
+TEST(JsonParseTest, MalformedCorpusGivesPinnedVerdicts) {
+  // The verdict for each input: the exact error, or (for the two inputs
+  // the grammar accepts) "accepted: " plus the canonical re-serialization.
+  const std::pair<std::string, std::string> kCorpus[] = {
+      {"", "ParseError: json: unexpected end of input at offset 0"},
+      {"{", "ParseError: json: expected '\"' at offset 1"},
+      {"}", "ParseError: json: unexpected character '}' at offset 0"},
+      {"nul", "ParseError: json: unexpected character 'n' at offset 0"},
+      {"truely",
+       "ParseError: json: trailing characters after JSON value at offset 4"},
+      {"\"unterminated", "ParseError: json: unterminated string at offset 13"},
+      {"\"bad \\q escape\"", "ParseError: json: invalid escape at offset 7"},
+      {"{\"a\":1,}", "ParseError: json: expected '\"' at offset 7"},
+      {"{\"a\" 1}",
+       "ParseError: json: expected ':' after object key at offset 5"},
+      {"[1,]", "ParseError: json: unexpected character ']' at offset 3"},
+      {"[1 2]", "ParseError: json: expected ',' or ']' in array at offset 3"},
+      {"{\"a\":01}", "ParseError: json: leading zero in integer at offset 7"},
+      {"{\"a\":-1}", "ParseError: json: unexpected character '-' at offset 5"},
+      {"{\"a\":1.5}",
+       "ParseError: json: expected ',' or '}' in object at offset 6"},
+      {"{\"a\":99999999999999999999999}",
+       "ParseError: json: integer overflow at offset 24"},
+      {"{\"a\":1} trailing",
+       "ParseError: json: trailing characters after JSON value at offset 8"},
+      {"  {\"a\":1}", "accepted: {\"a\":1}"},
+      // A raw control character inside a string is accepted and written
+      // back escaped.
+      {"{\"a\":\"\x01\"}", "accepted: {\"a\":\"\\u0001\"}"},
   };
   json::Arena arena;
-  for (const char* text : kDocuments) {
-    auto heap = json::Parse(text);
-    ASSERT_TRUE(heap.ok()) << text;
+  for (const auto& [text, verdict] : kCorpus) {
     arena.Reset();
     auto view = json::ParseInto(text, &arena);
-    ASSERT_TRUE(view.ok()) << text << ": " << view.status().ToString();
+    std::string got;
+    if (view.ok()) {
+      got = "accepted: ";
+      json::AppendView(*view.value(), &got);
+    } else {
+      got = view.status().ToString();
+    }
+    EXPECT_EQ(got, verdict) << text;
+  }
+}
+
+TEST(JsonParseTest, EscapesDecodeToPinnedBytes) {
+  // Escape-free strings take the zero-copy path, escaped ones the decode
+  // path; both are pinned by the decoded bytes of member "k" and, for
+  // canonical documents, by AppendView reproducing the input.
+  struct Case {
+    std::string text;
+    std::string decoded;
+    bool canonical;
+  };
+  const Case kCases[] = {
+      {"{\"k\":\"plain\"}", "plain", true},
+      {"{\"k\":\"quote \\\" backslash \\\\\"}", "quote \" backslash \\",
+       true},
+      {"{\"k\":\"\\b\\f\\n\\r\\t\"}", "\b\f\n\r\t", true},
+      {"{\"k\":\"\\u0001\\u001f\"}", "\x01\x1f", true},
+      {"{\"k\":\"\"}", "", true},
+      {"{\"k\":\"a\\/b\"}", "a/b", false},
+      {"{\"k\":\"\\u0041\\u007E\"}", "A~", false},
+  };
+  json::Arena arena;
+  for (const Case& c : kCases) {
+    arena.Reset();
+    auto view = json::ParseInto(c.text, &arena);
+    ASSERT_TRUE(view.ok()) << c.text << ": " << view.status().ToString();
+    uint64_t seen = 0;
+    auto decoded =
+        json::ToStringView(json::Find(*view.value(), "k", &seen), "k");
+    ASSERT_TRUE(decoded.ok()) << c.text;
+    EXPECT_EQ(decoded.value(), c.decoded) << c.text;
     std::string serialized;
     json::AppendView(*view.value(), &serialized);
-    EXPECT_EQ(serialized, text);
+    if (c.canonical) {
+      EXPECT_EQ(serialized, c.text);
+    }
   }
+  // An escaped key decodes the same way.
+  arena.Reset();
+  auto escaped_key = json::ParseInto("{\"\\n\":\"escaped key\"}", &arena);
+  ASSERT_TRUE(escaped_key.ok());
+  EXPECT_EQ(escaped_key.value()->members[0].key, "\n");
+  std::string serialized;
+  json::AppendView(*escaped_key.value(), &serialized);
+  EXPECT_EQ(serialized, "{\"\\n\":\"escaped key\"}");
+  // Escapes past 0x7f are rejected: non-ASCII travels as raw UTF-8.
+  arena.Reset();
+  auto wide = json::ParseInto("{\"k\":\"\\u00e9\"}", &arena);
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().ToString(),
+            "ParseError: json: \\u escape above 0x7f unsupported at offset 12");
+}
+
+TEST(JsonParseTest, NestingPastTheDepthLimitIsRejectedNotRecursedInto) {
+  json::Arena arena;
+  const auto nested = [](size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  // At the limit both container kinds parse and round-trip.
+  const std::string arrays = nested(json::kMaxDepth, '[', ']');
+  auto view = json::ParseInto(arrays, &arena);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  std::string serialized;
+  json::AppendView(*view.value(), &serialized);
+  EXPECT_EQ(serialized, arrays);
+  std::string objects;
+  for (uint32_t i = 0; i < json::kMaxDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(json::kMaxDepth, '}');
+  arena.Reset();
+  EXPECT_TRUE(json::ParseInto(objects, &arena).ok());
+  // One level deeper is an error at the container that crosses the limit.
+  arena.Reset();
+  auto deeper = json::ParseInto(nested(json::kMaxDepth + 1, '[', ']'), &arena);
+  ASSERT_FALSE(deeper.ok());
+  EXPECT_EQ(deeper.status().ToString(),
+            "ParseError: json: nesting deeper than 64 levels at offset 64");
+  // A frame-sized run of brackets (1 MiB, the default frame cap) fails
+  // the same way instead of exhausting the stack.
+  arena.Reset();
+  auto bomb = json::ParseInto(std::string(size_t{1} << 20, '['), &arena);
+  ASSERT_FALSE(bomb.ok());
+  EXPECT_EQ(bomb.status().ToString(),
+            "ParseError: json: nesting deeper than 64 levels at offset 64");
 }
 
 TEST(WireRejectionTest, MalformedInputIsParseError) {
