@@ -71,13 +71,15 @@ void OutQueue::Advance(size_t n, BufferPool* pool) {
   }
 }
 
-bool OutQueue::Flush(int fd, BufferPool* pool) {
+bool OutQueue::Flush(int fd, BufferPool* pool, Counter* send_calls) {
   while (!frames_.empty()) {
     iovec iov[kMaxIov];
     msghdr msg;
     std::memset(&msg, 0, sizeof(msg));
     msg.msg_iov = iov;
     msg.msg_iovlen = Gather(iov);
+    // Counted first, so a peer that holds the bytes sees the call counted.
+    send_calls->Add();
     const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
@@ -179,15 +181,6 @@ void Reactor::Stop() {
   CloseFd(&listen_fd_);
 }
 
-ConnStats Reactor::stats() const {
-  ConnStats total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->stats_mutex_);
-    shard->stats_.AddTo(&total);
-  }
-  return total;
-}
-
 ReactorShard::ReactorShard(Reactor* reactor, size_t index)
     : pool(reactor->config_.pool_buffers, reactor->config_.pool_buffer_bytes),
       reactor_(reactor),
@@ -214,8 +207,7 @@ void ReactorShard::Close(uint64_t id) {
   if (it == conns.end()) return;
   CloseFd(&it->second->fd);
   conns.erase(it);
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  --stats_.connections_open;
+  stats_.connections_open.Sub();
 }
 
 /// Takes ownership of an accepted, non-blocking socket.
@@ -225,9 +217,8 @@ void ReactorShard::AdoptFd(int fd) {
   conn->id = reactor_->next_conn_id_.fetch_add(1, std::memory_order_relaxed);
   conn->reader.set_pool(&pool);
   conns.emplace(conn->id, std::move(conn));
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.connections_accepted;
-  ++stats_.connections_open;
+  stats_.connections_accepted.Add();
+  stats_.connections_open.Add();
 }
 
 /// Shard 0 only: accept everything pending and deal the sockets
@@ -273,17 +264,18 @@ void ReactorShard::Read(Conn* conn) {
     // bytes stay in the kernel buffer and TCP flow control pushes back.
     if (InputPaused(*conn)) break;
     const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
+    stats_.recv_calls.Add();
     if (n > 0) {
       conn->reader.Feed(buffer, static_cast<size_t>(n));
+      // A short read drained the socket for now; poll is level-triggered,
+      // so anything that arrives after it re-arms POLLIN.
+      if (static_cast<size_t>(n) < sizeof(buffer)) break;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
     conn->peer_eof = true;  // EOF or a dead socket; drain what we have
-    if (n == 0 && conn->reader.MidFrame()) {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.truncated_frames;
-    }
+    if (n == 0 && conn->reader.MidFrame()) stats_.truncated_frames.Add();
     break;
   }
   uint64_t good = 0;
@@ -293,11 +285,8 @@ void ReactorShard::Read(Conn* conn) {
     (event.kind == FrameReader::Event::Kind::kFrame ? good : bad) += 1;
     conn->inputs.push_back(std::move(event));
   }
-  if (good + bad > 0) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.frames_received += good;
-    stats_.bad_frames += bad;
-  }
+  stats_.frames_received.Add(good);
+  stats_.bad_frames.Add(bad);
 }
 
 void ReactorShard::Loop() {
@@ -325,6 +314,7 @@ void ReactorShard::Loop() {
       if (errno == EINTR) continue;
       break;  // poll itself failing is unrecoverable
     }
+    stats_.poll_wakeups.Add();
     if (fds[0].revents & POLLIN) {
       char drain[256];
       while (::read(wake_read_, drain, sizeof(drain)) > 0) {
@@ -357,9 +347,8 @@ void ReactorShard::Loop() {
   }
   OnStop();
   for (auto& [id, conn] : conns) CloseFd(&conn->fd);
+  stats_.connections_open.Sub(conns.size());
   conns.clear();
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.connections_open = 0;
 }
 
 }  // namespace net

@@ -6,9 +6,12 @@
 // wake pipes — so connection state needs no locks. Arriving bytes stream
 // through a per-connection FrameReader; a connection whose queued work
 // reaches max_queued_frames is not read until it drains (backpressure is
-// TCP flow control). Output leaves through an OutQueue. What a shard does
-// with a complete frame is up to its owner, which derives from
-// ReactorShard and fills in the hooks.
+// TCP flow control). A readable socket costs one recv unless that read
+// fills the buffer: poll is level-triggered, so bytes left behind (or an
+// EOF) simply re-arm POLLIN. Output leaves through an OutQueue. What a
+// shard does with a complete frame is up to its owner, which derives from
+// ReactorShard and fills in the hooks. The counters are relaxed atomics
+// written by their shard alone, so the read and write paths take no lock.
 #ifndef QLEARN_NET_REACTOR_H_
 #define QLEARN_NET_REACTOR_H_
 
@@ -37,22 +40,39 @@ namespace net {
 
 void CloseFd(int* fd);  ///< closes `*fd` if open and sets it to -1
 
+/// A lifetime counter that one shard thread writes and any thread reads.
+/// With a single writer, a relaxed load and store is enough: no locked
+/// read-modify-write on the hot path.
+class Counter {
+ public:
+  void Add(uint64_t n = 1) {
+    value_.store(value_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+  }
+  void Sub(uint64_t n = 1) { Add(0 - n); }
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> value_{0};
+};
+
 /// Frames queued for one socket. Length prefix and body stay separate so
 /// Flush can scatter-gather straight out of the queue, and each fully
 /// written body goes back to a pool.
 class OutQueue {
  public:
-  static constexpr size_t kMaxIov = 16;  ///< two per frame, eight frames
+  static constexpr size_t kMaxIov = 64;  ///< two per frame, 32 frames
 
   /// Queues `body` as one frame. False, leaving `body` untouched, when it
   /// is empty or over `max_frame_bytes`: only the caller knows what to
   /// send instead.
   bool Push(std::string&& body, size_t max_frame_bytes);
-  /// Writes what `fd` accepts, eight frames per sendmsg; false if it died.
-  bool Flush(int fd, BufferPool* pool);
+  /// Writes what `fd` accepts, 32 frames per sendmsg, counting each
+  /// sendmsg in `send_calls`; false if the socket died.
+  bool Flush(int fd, BufferPool* pool, Counter* send_calls);
 
   /// Flush's halves. Gather points `iov` at the unsent bytes of up to
-  /// eight frames and returns the entry count; Advance marks `n` of those
+  /// 32 frames and returns the entry count; Advance marks `n` of those
   /// bytes sent. After a short write, Gather resumes mid-header or
   /// mid-body.
   size_t Gather(iovec* iov);
@@ -87,21 +107,28 @@ struct Conn {
   OutQueue out;
 };
 
-/// The connection counters ServerStats and RouterStats share.
+/// The connection counters ServerStats and RouterStats share, one set
+/// per shard.
 struct ConnStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_open = 0;
-  uint64_t frames_received = 0;
-  uint64_t bad_frames = 0;
-  uint64_t truncated_frames = 0;
+  Counter connections_accepted;
+  Counter connections_open;
+  Counter frames_received;
+  Counter bad_frames;
+  Counter truncated_frames;
+  Counter recv_calls;    ///< recv on client sockets
+  Counter send_calls;    ///< sendmsg on client sockets
+  Counter poll_wakeups;  ///< poll returns
 
   template <class Stats>
   void AddTo(Stats* out) const {
-    out->connections_accepted += connections_accepted;
-    out->connections_open += connections_open;
-    out->frames_received += frames_received;
-    out->bad_frames += bad_frames;
-    out->truncated_frames += truncated_frames;
+    out->connections_accepted += connections_accepted.value();
+    out->connections_open += connections_open.value();
+    out->frames_received += frames_received.value();
+    out->bad_frames += bad_frames.value();
+    out->truncated_frames += truncated_frames.value();
+    out->recv_calls += recv_calls.value();
+    out->send_calls += send_calls.value();
+    out->poll_wakeups += poll_wakeups.value();
   }
 };
 
@@ -147,7 +174,9 @@ class Reactor {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
   uint16_t port() const { return port_; }  ///< valid after Start()
-  ConnStats stats() const;  ///< summed over shards
+  /// Adds every shard's connection counters to `out`.
+  template <class Stats>
+  void AddStatsTo(Stats* out) const;
 
  private:
   friend class ReactorShard;
@@ -201,7 +230,9 @@ class ReactorShard {
   }
   void Close(uint64_t id);
   /// False on a dead socket; the caller closes.
-  bool Flush(Conn* conn) { return conn->out.Flush(conn->fd, &pool); }
+  bool Flush(Conn* conn) {
+    return conn->out.Flush(conn->fd, &pool, &stats_.send_calls);
+  }
   /// Queues `body` on `conn`; one too big to frame is replaced by an
   /// Internal error frame naming its size, followed by `hint`.
   void Reply(Conn* conn, std::string&& body, const char* hint = "");
@@ -226,10 +257,14 @@ class ReactorShard {
   std::mutex incoming_mutex_;  ///< guards sockets dealt by shard 0
   std::vector<int> incoming_fds_;
 
-  std::mutex stats_mutex_;
   ConnStats stats_;
   std::thread thread_;
 };
+
+template <class Stats>
+void Reactor::AddStatsTo(Stats* out) const {
+  for (const auto& shard : shards_) shard->stats_.AddTo(out);
+}
 
 }  // namespace net
 }  // namespace qlearn

@@ -51,6 +51,7 @@ struct ClientConn : Conn {
   using Conn::Conn;
   std::deque<Pending> pending;
   uint64_t next_seq = 1;
+  bool touched = false;  ///< listed in the shard's touched_clients
 };
 
 /// One request forwarded to a backend and not yet answered. The client is
@@ -90,16 +91,28 @@ std::string UnknownOpError(std::string_view op) {
       Status::ParseError("protocol: unknown op \"" + std::string(op) + "\""));
 }
 
-/// Folds the router-only counters (the reactor keeps the rest).
-void AddStats(const RouterStats& in, RouterStats* out) {
-  out->frames_forwarded += in.frames_forwarded;
-  out->local_answers += in.local_answers;
-  out->fanouts += in.fanouts;
-  out->ids_minted += in.ids_minted;
-  out->backend_reconnects += in.backend_reconnects;
-  out->backend_errors += in.backend_errors;
-  out->dial_backoffs += in.dial_backoffs;
-}
+/// One shard's router-only counters (the reactor keeps the rest).
+struct RouterCounters {
+  Counter frames_forwarded;
+  Counter local_answers;
+  Counter fanouts;
+  Counter ids_minted;
+  Counter backend_reconnects;
+  Counter backend_errors;
+  Counter dial_backoffs;
+  Counter backend_send_calls;
+
+  void AddTo(RouterStats* out) const {
+    out->frames_forwarded += frames_forwarded.value();
+    out->local_answers += local_answers.value();
+    out->fanouts += fanouts.value();
+    out->ids_minted += ids_minted.value();
+    out->backend_reconnects += backend_reconnects.value();
+    out->backend_errors += backend_errors.value();
+    out->dial_backoffs += dial_backoffs.value();
+    out->backend_send_calls += backend_send_calls.value();
+  }
+};
 
 }  // namespace
 
@@ -112,8 +125,7 @@ struct Router::Impl : Reactor {
 
     Impl* const impl;
 
-    mutable std::mutex stats_mutex;  ///< the router-only counters
-    RouterStats stats;
+    RouterCounters counters;
 
     /// Requests forwarded and not yet answered, for the rebalance drain.
     std::atomic<uint64_t> in_flight_count{0};
@@ -137,11 +149,6 @@ struct Router::Impl : Reactor {
     };
     std::map<std::string, DialFailure> dial_failures;
 
-    void Bump(uint64_t RouterStats::*field, uint64_t by = 1) {
-      std::lock_guard<std::mutex> lock(stats_mutex);
-      stats.*field += by;
-    }
-
     // ---- client side ----
 
     std::unique_ptr<Conn> NewConn() override {
@@ -152,20 +159,6 @@ struct Router::Impl : Reactor {
     size_t Backlog(const Conn& conn) const override {
       return static_cast<const ClientConn&>(conn).pending.size() +
              conn.out.size();
-    }
-
-    /// Moves every ready front slot to the output queue and flushes. May
-    /// close the connection; false if it did.
-    bool PumpClient(ClientConn* conn) {
-      while (!conn->pending.empty() && conn->pending.front().ready) {
-        Reply(conn, std::move(conn->pending.front().body));
-        conn->pending.pop_front();
-      }
-      if (!Flush(conn)) {
-        Close(conn->id);
-        return false;
-      }
-      return true;
     }
 
     Pending& PushSlot(ClientConn* conn) {
@@ -179,7 +172,7 @@ struct Router::Impl : Reactor {
       Pending& slot = PushSlot(conn);
       slot.ready = true;
       slot.body = std::move(body);
-      Bump(&RouterStats::local_answers);
+      counters.local_answers.Add();
     }
 
     // ---- backend side ----
@@ -195,7 +188,7 @@ struct Router::Impl : Reactor {
       if (failed != dial_failures.end()) {
         if (std::chrono::steady_clock::now() < failed->second.until) {
           *error = failed->second.error;
-          Bump(&RouterStats::dial_backoffs);
+          counters.dial_backoffs.Add();
           return nullptr;
         }
         dial_failures.erase(failed);
@@ -217,7 +210,7 @@ struct Router::Impl : Reactor {
       conn->reader.set_pool(&pool);
       BackendConn* raw = conn.get();
       backends.emplace(key, std::move(conn));
-      Bump(&RouterStats::backend_reconnects);
+      counters.backend_reconnects.Add();
       return raw;
     }
 
@@ -228,7 +221,7 @@ struct Router::Impl : Reactor {
       std::deque<Forwarded> orphans;
       orphans.swap(backend->in_flight);
       in_flight_count.fetch_sub(orphans.size(), std::memory_order_relaxed);
-      Bump(&RouterStats::backend_errors, orphans.size());
+      counters.backend_errors.Add(orphans.size());
       CloseFd(&backend->fd);
       backends.erase(key);  // `backend` is dead past this line
       const std::string error = SerializeError(
@@ -236,7 +229,7 @@ struct Router::Impl : Reactor {
       for (Forwarded& entry : orphans) {
         ClientConn* conn = static_cast<ClientConn*>(Find(entry.client_id));
         if (conn == nullptr) continue;
-        touched_clients.push_back(conn->id);
+        Touch(conn);
         for (Pending& slot : conn->pending) {
           if (slot.seq != entry.seq) continue;
           if (!slot.ready) {
@@ -246,7 +239,6 @@ struct Router::Impl : Reactor {
           }
           break;
         }
-        PumpClient(conn);
       }
     }
 
@@ -258,7 +250,7 @@ struct Router::Impl : Reactor {
       BackendConn* backend = EnsureBackend(address, &error);
       if (backend == nullptr) {
         pool.Release(std::move(payload));
-        Bump(&RouterStats::backend_errors);
+        counters.backend_errors.Add();
         PushLocal(conn, SerializeError(Status::Unavailable(
                             "backend " + ToString(address) + ": " + error)));
         return;
@@ -280,16 +272,28 @@ struct Router::Impl : Reactor {
       Track(backend, conn->id, PushSlot(conn).seq, std::move(close_id));
     }
 
-    /// Records slot `seq` of client `client_id` as awaiting `backend` and
-    /// flushes; false if the send killed the backend (its slots answered).
-    bool Track(BackendConn* backend, uint64_t client_id, uint64_t seq,
+    /// Records slot `seq` of client `client_id` as awaiting `backend`. The
+    /// frame goes out with the backend's next FlushBackends.
+    void Track(BackendConn* backend, uint64_t client_id, uint64_t seq,
                std::string close_id) {
       backend->in_flight.push_back({client_id, seq, std::move(close_id)});
       in_flight_count.fetch_add(1, std::memory_order_relaxed);
-      Bump(&RouterStats::frames_forwarded);
-      if (backend->out.Flush(backend->fd, &pool)) return true;
-      FailBackend(backend, "send failed");
-      return false;
+      counters.frames_forwarded.Add();
+    }
+
+    /// Writes every backend's queued requests: one sendmsg burst per
+    /// backend per call. A backend whose send fails has its slots answered
+    /// Unavailable, touching their clients.
+    void FlushBackends() {
+      for (auto it = backends.begin(); it != backends.end();) {
+        BackendConn* backend = it->second.get();
+        ++it;  // FailBackend erases `backend`'s entry
+        if (!backend->out.empty() &&
+            !backend->out.Flush(backend->fd, &pool,
+                                &counters.backend_send_calls)) {
+          FailBackend(backend, "send failed");
+        }
+      }
     }
 
     /// Broadcasts `payload` to every backend in the map — plus any
@@ -304,7 +308,7 @@ struct Router::Impl : Reactor {
       slot.awaiting = static_cast<uint32_t>(targets.size());
       slot.parts.reserve(targets.size());
       const uint64_t seq = slot.seq;
-      Bump(&RouterStats::fanouts);
+      counters.fanouts.Add();
       for (const BackendAddress& address : targets) {
         std::string error;
         BackendConn* backend = EnsureBackend(address, &error);
@@ -312,7 +316,7 @@ struct Router::Impl : Reactor {
           // One unreachable backend fails the whole merge: a partial sum
           // would silently under-report. (`slot` stays valid: deque
           // references survive push_backs at the ends.)
-          Bump(&RouterStats::backend_errors);
+          counters.backend_errors.Add();
           slot.ready = true;
           slot.kind = Pending::Kind::kSingle;
           slot.awaiting = 0;
@@ -325,26 +329,37 @@ struct Router::Impl : Reactor {
         copy.assign(payload);
         // Fits: it is the client's frame, read under the same cap.
         backend->out.Push(std::move(copy), impl->options.max_frame_bytes);
-        // A failed send may have completed the slot already.
-        if (!Track(backend, conn->id, seq, std::string())) break;
+        Track(backend, conn->id, seq, std::string());
       }
       pool.Release(std::move(payload));
     }
 
-    /// Clients whose pending queue changed while handling backend I/O;
-    /// re-stepped after the backend pass so inputs parked by the
-    /// pending-queue cap get dispatched once capacity frees up.
+    /// Clients whose pending queue changed while handling backend I/O,
+    /// each listed once; re-stepped after the backend pass, which sends
+    /// their ready replies and dispatches inputs parked by the
+    /// pending-queue cap once capacity frees up.
     std::vector<uint64_t> touched_clients;
 
-    /// Steps every touched client until quiet. Stepping can touch more
-    /// clients (a dispatch hitting a dead backend), hence the loop.
-    void DrainTouched() {
+    void Touch(ClientConn* conn) {
+      if (conn->touched) return;
+      conn->touched = true;
+      touched_clients.push_back(conn->id);
+    }
+
+    /// Steps every touched client once and sends what they dispatched,
+    /// until quiet: a failed backend flush touches the clients whose slots
+    /// it answered.
+    void Settle() {
       while (!touched_clients.empty()) {
         std::vector<uint64_t> touched;
         touched.swap(touched_clients);
         for (const uint64_t id : touched) {
-          if (Conn* conn = Find(id)) Step(conn);
+          if (Conn* conn = Find(id)) {
+            static_cast<ClientConn*>(conn)->touched = false;
+            Step(conn);
+          }
         }
+        FlushBackends();
       }
     }
 
@@ -367,7 +382,7 @@ struct Router::Impl : Reactor {
         pool.Release(std::move(payload));  // client died mid-request
         return;
       }
-      touched_clients.push_back(conn->id);
+      Touch(conn);
       for (Pending& slot : conn->pending) {
         if (slot.seq != entry.seq) continue;
         if (slot.ready) break;  // already failed (backend death, fan-out)
@@ -388,7 +403,6 @@ struct Router::Impl : Reactor {
         }
         break;
       }
-      PumpClient(conn);
     }
 
     void ReadFromBackend(BackendConn* backend) {
@@ -398,6 +412,8 @@ struct Router::Impl : Reactor {
         const ssize_t n = ::recv(backend->fd, buffer, sizeof(buffer), 0);
         if (n > 0) {
           backend->reader.Feed(buffer, static_cast<size_t>(n));
+          // Drained for now: POLLIN re-arms for whatever follows.
+          if (static_cast<size_t>(n) < sizeof(buffer)) break;
           continue;
         }
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -476,7 +492,7 @@ struct Router::Impl : Reactor {
         std::string rebuilt = pool.Acquire();
         AppendOpenWithId(*peek.root, minted, &rebuilt);
         pool.Release(std::move(event.payload));
-        Bump(&RouterStats::ids_minted);
+        counters.ids_minted.Add();
         Forward(conn, Route(minted, map), std::move(rebuilt), std::string());
         return;
       }
@@ -503,21 +519,34 @@ struct Router::Impl : Reactor {
               std::move(close_id));
     }
 
-    /// Advances one client connection: dispatch queued requests (unless a
-    /// rebalance has dispatch paused), send ready responses, close when
-    /// fully drained after EOF.
+    /// Advances one client connection: move every ready front slot to the
+    /// output queue, dispatch queued requests (unless a rebalance has
+    /// dispatch paused) onto their backends' queues while slots are free,
+    /// flush, and close when fully drained after EOF. Slots answered
+    /// locally free room at once, hence the loop: a client whose unread
+    /// inputs fill the cap is not polled, so this Step must dispatch
+    /// everything it has room for.
     void Step(Conn* base) override {
       ClientConn* conn = static_cast<ClientConn*>(base);
-      const uint64_t conn_id = conn->id;  // Dispatch can free `conn`
-      while (!paused_now && !conn->inputs.empty() &&
-             conn->pending.size() < impl->options.max_queued_frames) {
-        FrameReader::Event event = std::move(conn->inputs.front());
-        conn->inputs.pop_front();
-        Dispatch(conn, std::move(event));
-        // Dispatch can close the connection (flush failure); re-find.
-        if (Find(conn_id) == nullptr) return;
+      const size_t cap = impl->options.max_queued_frames;
+      for (;;) {
+        while (!conn->pending.empty() && conn->pending.front().ready) {
+          Reply(conn, std::move(conn->pending.front().body));
+          conn->pending.pop_front();
+        }
+        if (paused_now || conn->inputs.empty() || conn->pending.size() >= cap) {
+          break;
+        }
+        while (!conn->inputs.empty() && conn->pending.size() < cap) {
+          FrameReader::Event event = std::move(conn->inputs.front());
+          conn->inputs.pop_front();
+          Dispatch(conn, std::move(event));
+        }
       }
-      if (!PumpClient(conn)) return;
+      if (!Flush(conn)) {
+        Close(conn->id);
+        return;
+      }
       if (conn->peer_eof && conn->inputs.empty() && conn->pending.empty() &&
           conn->out.empty()) {
         Close(conn->id);
@@ -530,10 +559,12 @@ struct Router::Impl : Reactor {
       if (was_paused && !paused_now) {
         // Dispatch resumed: requests queued while paused generate no new
         // socket events, so every client must be stepped by hand — and
-        // before this iteration's poll, which would otherwise block on
-        // sockets that will never speak first.
-        for (auto& [id, conn] : conns) touched_clients.push_back(id);
-        DrainTouched();
+        // what they dispatch sent — before this iteration's poll, which
+        // would otherwise block on sockets that will never speak first.
+        for (auto& [id, conn] : conns) {
+          Touch(static_cast<ClientConn*>(conn.get()));
+        }
+        Settle();
       }
       was_paused = paused_now;
       poll_backend_keys.clear();
@@ -546,6 +577,10 @@ struct Router::Impl : Reactor {
     }
 
     void AfterPoll(const pollfd* extra, size_t count) override {
+      // What this pass's client steps dispatched goes out before the
+      // replies are read; this also covers every backend polled for
+      // POLLOUT, whose queue was non-empty.
+      FlushBackends();
       for (size_t i = 0; i < count; ++i) {
         const std::string& key = poll_backend_keys[i];
         auto it = backends.find(key);
@@ -556,21 +591,17 @@ struct Router::Impl : Reactor {
           FailBackend(backend, "socket error");
           continue;
         }
-        if (revents & (POLLIN | POLLHUP)) {
-          ReadFromBackend(backend);
-          if (backends.find(key) == backends.end()) continue;
-        }
-        if ((revents & POLLOUT) && !backend->out.Flush(backend->fd, &pool)) {
-          FailBackend(backend, "send failed");
-        }
+        if (revents & (POLLIN | POLLHUP)) ReadFromBackend(backend);
       }
-      // Backend responses freed pending-queue slots on these clients;
-      // without this pass, a client paused at the cap with no socket
-      // events would never dispatch its queued inputs again.
-      DrainTouched();
+      // Backend responses filled slots and freed pending-queue capacity on
+      // these clients: stepping them sends the replies, and without it a
+      // client paused at the cap with no socket events would never
+      // dispatch its queued inputs again.
+      Settle();
       // With the pause observed and this iteration's dispatches counted
-      // in in_flight_count, acking is what lets Rebalance trust a zero
-      // in-flight sum: no dispatch can follow the ack until unpause.
+      // in in_flight_count (queued or sent), acking is what lets Rebalance
+      // trust a zero in-flight sum: no dispatch can follow the ack until
+      // unpause.
       pause_ack.store(paused_now, std::memory_order_release);
     }
 
@@ -842,10 +873,9 @@ common::Status Router::Rebalance(std::vector<BackendAddress> backends) {
 
 RouterStats Router::stats() const {
   RouterStats total;
-  impl_->stats().AddTo(&total);
+  impl_->AddStatsTo(&total);
   for (const Impl::Shard* shard : impl_->shards) {
-    std::lock_guard<std::mutex> lock(shard->stats_mutex);
-    AddStats(shard->stats, &total);
+    shard->counters.AddTo(&total);
   }
   total.handoffs = impl_->handoffs.load(std::memory_order_relaxed);
   total.handoff_skipped =

@@ -5,6 +5,13 @@
 // scatter-gather output queue), and each shard keeps its own pooled
 // connections to every backend, flushed through the same output queue.
 //
+// Writes are coalesced per reactor loop pass, not per frame: forwarded
+// requests queue on their backend, which is flushed once after the pass's
+// client reads and once after the replies those reads freed; replies
+// queue on their client, which is flushed once when it is stepped. A
+// pipelined burst therefore costs one sendmsg per 32 frames per socket,
+// not one per frame.
+//
 // Clients speak the ordinary framed-TCP protocol to the router. For each
 // request frame the router *peeks* the session id with the arena parser
 // (net::PeekRequest — no copies, no full validation), picks the owning
@@ -97,6 +104,10 @@ struct RouterStats {
   uint64_t frames_received = 0;   ///< complete, well-framed client payloads
   uint64_t bad_frames = 0;        ///< client framing errors
   uint64_t truncated_frames = 0;  ///< client EOF mid-frame
+  uint64_t recv_calls = 0;        ///< recv syscalls on client sockets
+  uint64_t send_calls = 0;        ///< sendmsg syscalls on client sockets
+  uint64_t poll_wakeups = 0;      ///< reactor loop passes (poll returns)
+  uint64_t backend_send_calls = 0;  ///< sendmsg syscalls on backend sockets
   uint64_t frames_forwarded = 0;  ///< frames dispatched to a backend
   uint64_t local_answers = 0;     ///< answered without a backend round trip
   uint64_t fanouts = 0;           ///< counters/sessions broadcasts

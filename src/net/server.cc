@@ -211,7 +211,7 @@ uint16_t Server::port() const { return impl_->port(); }
 
 ServerStats Server::stats() const {
   ServerStats total;
-  impl_->stats().AddTo(&total);
+  impl_->AddStatsTo(&total);
   return total;
 }
 

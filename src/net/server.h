@@ -75,6 +75,9 @@ struct ServerStats {
   uint64_t frames_received = 0;   ///< complete, well-framed payloads
   uint64_t bad_frames = 0;        ///< zero-length/oversized framing errors
   uint64_t truncated_frames = 0;  ///< peer EOF mid-frame
+  uint64_t recv_calls = 0;        ///< recv syscalls on client sockets
+  uint64_t send_calls = 0;        ///< sendmsg syscalls on client sockets
+  uint64_t poll_wakeups = 0;      ///< reactor loop passes (poll returns)
 };
 
 class Server {

@@ -25,6 +25,33 @@ std::string RelationSchema::ToString() const {
   return out;
 }
 
+Relation::Relation(const Relation& other)
+    : schema_(other.schema_), rows_(other.rows_) {
+  std::lock_guard<std::mutex> lock(other.index_mutex_);
+  indexes_ = other.indexes_;
+}
+
+Relation& Relation::operator=(const Relation& other) {
+  if (this == &other) return *this;
+  schema_ = other.schema_;
+  rows_ = other.rows_;
+  std::lock_guard<std::mutex> lock(other.index_mutex_);
+  indexes_ = other.indexes_;
+  return *this;
+}
+
+Relation::Relation(Relation&& other) noexcept
+    : schema_(std::move(other.schema_)),
+      rows_(std::move(other.rows_)),
+      indexes_(std::move(other.indexes_)) {}
+
+Relation& Relation::operator=(Relation&& other) noexcept {
+  schema_ = std::move(other.schema_);
+  rows_ = std::move(other.rows_);
+  indexes_ = std::move(other.indexes_);
+  return *this;
+}
+
 Status Relation::Insert(Tuple row) {
   if (row.size() != schema_.arity()) {
     return Status::InvalidArgument(
@@ -48,6 +75,9 @@ Status Relation::Insert(Tuple row) {
 
 const std::unordered_multimap<size_t, size_t>& Relation::IndexOn(
     size_t col) const {
+  // Map nodes never move, so the reference outlives the lock; only a
+  // write (non-const, never concurrent with reads) drops the cache.
+  std::lock_guard<std::mutex> lock(index_mutex_);
   auto it = indexes_.find(col);
   if (it != indexes_.end()) return it->second;
   auto& index = indexes_[col];

@@ -1,8 +1,11 @@
 // Named relations: a schema (attribute names and types) plus a row store,
-// with optional per-attribute hash indexes used by the join operators.
+// with lazily built per-attribute hash indexes used by the join operators.
+// Scenario universes share one relation across every session thread, so
+// the index cache is filled under a lock.
 #ifndef QLEARN_RELATIONAL_RELATION_H_
 #define QLEARN_RELATIONAL_RELATION_H_
 
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -50,6 +53,11 @@ class Relation {
  public:
   Relation() = default;
   explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {}
+  /// Copies take the source's cached indexes under its lock.
+  Relation(const Relation& other);
+  Relation& operator=(const Relation& other);
+  Relation(Relation&& other) noexcept;
+  Relation& operator=(Relation&& other) noexcept;
 
   const RelationSchema& schema() const { return schema_; }
   size_t size() const { return rows_.size(); }
@@ -68,7 +76,8 @@ class Relation {
   }
 
   /// Builds (or returns a cached) hash index on attribute `col`:
-  /// value-hash -> row indexes. NULLs are not indexed.
+  /// value-hash -> row indexes. NULLs are not indexed. Safe to call from
+  /// many threads at once; the index stays valid until the next write.
   const std::unordered_multimap<size_t, size_t>& IndexOn(size_t col) const;
 
   /// Multi-line rendering with a header (for examples and debugging).
@@ -77,6 +86,7 @@ class Relation {
  private:
   RelationSchema schema_;
   std::vector<Tuple> rows_;
+  mutable std::mutex index_mutex_;  ///< guards indexes_ on const paths
   mutable std::unordered_map<size_t, std::unordered_multimap<size_t, size_t>>
       indexes_;
 };

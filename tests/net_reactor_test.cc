@@ -72,10 +72,10 @@ TEST(OutQueueTest, ShortWritesResumeMidHeaderAndMidBody) {
   socklen_t len = sizeof(sndbuf);
   ASSERT_EQ(::getsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
 
-  // Twelve frames — more than one sendmsg gathers — and one of them four
-  // times the send buffer, so no single write can carry it.
+  // More frames than one sendmsg gathers, and one of them four times the
+  // send buffer, so no single write can carry it.
   std::vector<std::string> bodies;
-  for (int i = 0; i < 12; ++i) {
+  for (size_t i = 0; i < OutQueue::kMaxIov / 2 + 4; ++i) {
     bodies.push_back(std::string(100 + 37 * i, static_cast<char>('a' + i)));
   }
   bodies[5] = std::string(4 * static_cast<size_t>(sndbuf), 'X');
@@ -89,7 +89,7 @@ TEST(OutQueueTest, ShortWritesResumeMidHeaderAndMidBody) {
   }
   const auto written = [&] { return bodies.size() - out.size(); };
 
-  // One gather covers eight frames: header and body each.
+  // One gather covers kMaxIov / 2 frames: header and body each.
   iovec iov[OutQueue::kMaxIov];
   ASSERT_EQ(out.Gather(iov), OutQueue::kMaxIov);
   EXPECT_EQ(iov[0].iov_len, kFrameHeaderBytes);
@@ -114,8 +114,9 @@ TEST(OutQueueTest, ShortWritesResumeMidHeaderAndMidBody) {
   FrameReader reader(cap);
   size_t short_flushes = 0;
   size_t resumed_in_body = 0;
+  Counter send_calls;
   for (int round = 0; !out.empty() && round < 10000; ++round) {
-    ASSERT_TRUE(out.Flush(fds[0], &pool));
+    ASSERT_TRUE(out.Flush(fds[0], &pool, &send_calls));
     EXPECT_EQ(pool.PooledCount(), written());
     if (!out.empty()) {
       ++short_flushes;
@@ -130,6 +131,8 @@ TEST(OutQueueTest, ShortWritesResumeMidHeaderAndMidBody) {
   Drain(fds[1], &reader);
   EXPECT_GE(short_flushes, 2u);
   EXPECT_GE(resumed_in_body, 1u);
+  // Every Flush call writes at least once, and each sendmsg is counted.
+  EXPECT_GE(send_calls.value(), short_flushes + 1);
   EXPECT_EQ(pool.PooledCount(), bodies.size());
 
   // The peer reassembles exactly the pushed bodies, in order.

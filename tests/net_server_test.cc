@@ -7,8 +7,14 @@
 // hammer run under every dispatch configuration (worker pool, inline
 // dispatch, multiple reactor shards), since the golden bytes must not
 // depend on how the server schedules work.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,6 +22,7 @@
 
 #include "gtest/gtest.h"
 #include "net/client.h"
+#include "net/frame.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "service/session_service.h"
@@ -426,6 +433,95 @@ TEST_F(NetServerTest, ConcurrentClientsRunFullSessions) {
   const ServerStats stats = server_->stats();
   EXPECT_EQ(stats.connections_accepted, static_cast<uint64_t>(kThreads));
   EXPECT_EQ(stats.bad_frames, 0u);
+}
+
+/// A blocking loopback socket speaking raw frames, for pipelined bursts
+/// the strict request/response Client cannot send.
+class RawSocket {
+ public:
+  explicit RawSocket(uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof(addr)) == 0;
+  }
+  ~RawSocket() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  bool connected() const { return connected_; }
+
+  /// Sends `count` copies of `payload` as frames in one send.
+  bool SendFrames(const std::string& payload, int count) {
+    std::string wire;
+    for (int i = 0; i < count; ++i) {
+      if (!AppendFrame(payload, kDefaultMaxFrameBytes, &wire)) return false;
+    }
+    for (size_t pos = 0; pos < wire.size();) {
+      const ssize_t n =
+          ::send(fd_, wire.data() + pos, wire.size() - pos, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      pos += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  /// The next frame's payload; empty on a transport error.
+  std::string RecvFrame() {
+    unsigned char header[kFrameHeaderBytes];
+    if (!RecvExactly(reinterpret_cast<char*>(header), sizeof(header))) {
+      return "";
+    }
+    std::string payload(static_cast<size_t>(DecodeFrameHeader(header)), '\0');
+    if (!RecvExactly(payload.data(), payload.size())) return "";
+    return payload;
+  }
+
+ private:
+  bool RecvExactly(char* out, size_t n) {
+    for (size_t pos = 0; pos < n;) {
+      const ssize_t got = ::recv(fd_, out + pos, n - pos, 0);
+      if (got <= 0) return false;
+      pos += static_cast<size_t>(got);
+    }
+    return true;
+  }
+
+  int fd_ = -1;
+  bool connected_ = false;
+};
+
+TEST_F(NetServerTest, ReadableSocketCostsOneRecvUnlessTheBufferFills) {
+  // A read shorter than the reactor's buffer ends the read (poll is
+  // level-triggered, so later bytes re-arm it): a 64-frame burst costs a
+  // few recv calls, and a request/reply round trip one, not a second
+  // that only returns EAGAIN.
+  RawSocket conn(server_->port());
+  ASSERT_TRUE(conn.connected());
+  const std::string counters = "{\"op\":\"counters\"}";
+  const ServerStats before = server_->stats();
+  ASSERT_TRUE(conn.SendFrames(counters, 64));
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(conn.RecvFrame().rfind("{\"ok\":", 0), 0u) << "reply " << i;
+  }
+  const ServerStats burst = server_->stats();
+  EXPECT_EQ(burst.frames_received - before.frames_received, 64u);
+  EXPECT_LT(burst.recv_calls - before.recv_calls, 16u);
+
+  constexpr uint64_t kRoundTrips = 32;
+  for (uint64_t i = 0; i < kRoundTrips; ++i) {
+    ASSERT_TRUE(conn.SendFrames(counters, 1));
+    EXPECT_EQ(conn.RecvFrame().rfind("{\"ok\":", 0), 0u) << "reply " << i;
+  }
+  const ServerStats after = server_->stats();
+  // Slack for a request the kernel happens to deliver in two segments.
+  EXPECT_LE(after.recv_calls - burst.recv_calls, kRoundTrips + 4);
+  EXPECT_GE(after.send_calls - burst.send_calls, kRoundTrips);
+  EXPECT_GE(after.poll_wakeups - burst.poll_wakeups, kRoundTrips);
 }
 
 TEST_F(NetServerTest, StopWhileClientsConnectedShutsDownCleanly) {

@@ -2,6 +2,9 @@
 // and instance generators.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "relational/database.h"
 #include "relational/generator.h"
 #include "relational/operators.h"
@@ -70,6 +73,39 @@ TEST(RelationTest, IndexSkipsNulls) {
   auto joined = EquiJoin(s, r, {AttributePair{0, 0}});  // builds on r
   ASSERT_TRUE(joined.ok());
   EXPECT_EQ(joined.value().size(), 3u);
+}
+
+TEST(RelationTest, IndexOnIsSafeFromManyThreads) {
+  // Scenario universes share one relation across session threads, and a
+  // join reaches the lazily built index cache through a const reference:
+  // concurrent first calls must build each index once and agree on it.
+  Relation r(RelationSchema("r", {Attribute{"x", ValueType::kInt},
+                                  Attribute{"y", ValueType::kInt}}));
+  for (int64_t i = 0; i < 2000; ++i) r.InsertUnchecked({I(i % 37), I(i)});
+  const Relation& shared = r;
+  constexpr size_t kThreads = 4;
+  std::vector<const void*> seen(kThreads * 2, nullptr);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &seen, t] {
+      for (size_t k = 0; k < 2; ++k) {
+        const size_t col = (t + k) % 2;  // half the threads start on each
+        const auto& index = shared.IndexOn(col);
+        EXPECT_EQ(index.size(), 2000u);
+        seen[t * 2 + col] = &index;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t * 2], seen[0]);
+    EXPECT_EQ(seen[t * 2 + 1], seen[1]);
+  }
+  // A copy carries the indexes; its lookups see the same rows.
+  const Relation copy = shared;
+  const size_t key = I(5).Hash();
+  EXPECT_EQ(copy.IndexOn(0).count(key), shared.IndexOn(0).count(key));
+  EXPECT_GT(copy.IndexOn(0).count(key), 0u);
 }
 
 class JoinFixture : public ::testing::Test {
